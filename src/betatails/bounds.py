@@ -8,18 +8,18 @@ The headline bound is the sub-gamma (Bernstein-type) inequality with
 under which the upper tail P{X > E[X] + eps} is at most
 exp(-eps^2 / (2(v + c eps / 3))) when beta >= alpha and exp(-eps^2/(2v))
 otherwise; lower tails follow by swapping the roles of alpha and beta.
-Alongside it: the best sub-gaussian competitor (variational proxy), exact
-tails for verification, and the quadratic log refinement
-x - log(1+x) <= x^2 / (2 (1 + x/3)).
+Alongside it: the best sub-gaussian competitor (the variational proxy,
+solved from its stationarity condition t psi'(t) = 2 psi(t)), exact tails
+for verification, and the log refinement x - log(1+x) <= x^2/(2(1 + x/3)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .moments import BetaParams, Scalar
+from .moments import BetaParams, Scalar, _centered_series, _series_length
 from .specfun import ConvergenceError, DEFAULT_CONFIG, EvalConfig, regularized_incomplete_beta
 
 
@@ -50,7 +50,7 @@ def sub_gamma_params(params: BetaParams) -> SubGammaParams:
 
 def sub_gamma_bound(sg: SubGammaParams, eps: float) -> float:
     """exp(-eps^2 / (2 (v + c eps / 3))), the generic sub-gamma tail value."""
-    if eps < 0:
+    if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
     if eps == 0:
         return 1.0
@@ -69,7 +69,7 @@ def bernstein_tail_bound(params: BetaParams, eps: float, side: TailSide) -> floa
     shape exp(-eps^2/(2v)) when beta < alpha. The lower side is the upper
     side of 1 - X, i.e. the same formulas with alpha and beta exchanged.
     """
-    if eps < 0:
+    if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
     if side is TailSide.LOWER:
         return bernstein_tail_bound(params.swapped(), eps, TailSide.UPPER)
@@ -90,7 +90,7 @@ def exact_tail(
     complementary parametrization so no 1 - p cancellation occurs when the
     tail is small. Deviations beyond the support return 0.
     """
-    if eps < 0:
+    if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
     a, b = float(params.alpha), float(params.beta)
     mu = a / (a + b)
@@ -123,95 +123,87 @@ def log_upper_bound(x: float) -> float:
     return x - x * x / (2.0 * (1.0 + x / 3.0))
 
 
-# Sub-gaussian proxy optimizer constants. The coarse scan is log-spaced and
-# extends geometrically while the objective is still rising at the top end;
-# extremely skewed shapes peak at t in the thousands.
-_SCAN_POINTS_PER_DECADE = 25
-_SCAN_T_MIN = 1e-4
-_SCAN_T_MAX_INITIAL = 200.0
-_SCAN_T_MAX_CAP = 1e7
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _cgf_and_residual(params: BetaParams, t: float, cfg: EvalConfig) -> tuple[float, float]:
+    """psi(t) and g(t) = t psi'(t) - 2 psi(t) for t > 0 and beta >= alpha.
 
-
-def _proxy_objective(params: BetaParams, t: float, cfg: EvalConfig) -> float:
-    """2 psi(t) / t^2, evaluated in whichever form is well conditioned at t.
-
-    Below |t| = 1e-4 the limit series v + c v t / 3 applies. Up to |t| = 4 the
-    centered moment series with log1p keeps full relative precision where psi
-    is O(t^2) and the -t mu + log 1F1 form would cancel. Beyond that the
-    closed 1F1 form takes over (its absolute noise is negligible against
-    psi there).
+    beta >= alpha makes every central moment non-negative, so the centered
+    series cannot cancel. It serves while t^2 <= 16 (s+1), where Elder's
+    bound keeps psi <= 2; that covers t <= 4, where -t mu + log 1F1 would
+    cancel. With phi = 1 + sigma and e = t phi' - 2 sigma, g = e / (1 + sigma)
+    + 2 (sigma / (1 + sigma) - log1p(sigma)). Beyond, one pass of the 1F1(a; s; t)
+    series (about 2t terms) gives log 1F1 and t d/dt log 1F1 = sum_k k term_k / 1F1.
     """
-    from .chernoff import _centered_series, _series_length, cgf
-
-    sg = sub_gamma_params(params)
-    v, c = float(sg.v), float(sg.c)
-    if abs(t) < 1e-4:
-        return v + c * v * t / 3.0
-    if abs(t) <= 4.0:
-        sigma, _ = _centered_series(params, t, _series_length(t))
-        return 2.0 * math.log1p(sigma) / (t * t)
-    series_cfg = replace(cfg, max_iter=max(cfg.max_iter, int(4 * abs(t)) + 2000))
-    return 2.0 * cgf(params, t, series_cfg) / (t * t)
+    a, b = float(params.alpha), float(params.beta)
+    s = a + b
+    if t * t <= 16.0 * (s + 1.0):
+        sigma, excess = _centered_series(params, t, _series_length(t))
+        psi = math.log1p(sigma)
+        return psi, excess / (1.0 + sigma) + 2.0 * (sigma / (1.0 + sigma) - psi)
+    rescales, term, total, weighted = 0, 1.0, 1.0, 0.0
+    ratio = a * t / s  # term_{k+1} / term_k at k = 0
+    for k in range(1, max(cfg.max_iter, int(4 * t) + 2000)):
+        term *= ratio
+        total += term
+        weighted += k * term
+        if total > 1e280:
+            rescales += 1
+            total, term, weighted = total * 1e-280, term * 1e-280, weighted * 1e-280
+        ratio = (a + k) * t / ((s + k) * (k + 1.0))
+        if ratio < 1.0 and term * ratio <= cfg.rel_tol * total * (1.0 - ratio):
+            psi = math.log(total) + rescales * math.log(1e280) - t * a / s
+            return psi, weighted / total - t * a / s - 2.0 * psi
+    raise ConvergenceError(f"1F1 series for the proxy did not converge for {params}, t={t}")
 
 
 def subgaussian_optimal_proxy(params: BetaParams, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Best sub-gaussian variance proxy: sup over t != 0 of 2 psi(t) / t^2.
+    """Best sub-gaussian variance proxy: sup over t != 0 of f(t) = 2 psi(t) / t^2.
 
-    The supremum is taken over both signs of t and always dominates the
-    variance v (the t -> 0 limit). Symmetric shapes attain the supremum at
-    the limit; skewed shapes attain it at a finite t found by a coarse
-    log-spaced scan plus golden-section refinement.
+    f tends to the variance v as t -> 0 and f'(t) = 2 g(t) / t^3 with
+    g(t) = t psi'(t) - 2 psi(t). For alpha != beta the supremum is at the
+    unique non-zero root of g (Marchal and Arbel, "On the sub-Gaussianity of
+    the Beta and Dirichlet distributions", ECP 22, 2017), at t > 0 when
+    beta > alpha and for alpha > beta at that root for 1 - X. Symmetric
+    shapes attain it as t -> 0: the proxy is v. The root is bracketed by
+    doubling t from 1e-12, then refined by Illinois steps to 1e-9 relative
+    width, where f, flat at its peak, is exact to rounding. A root below
+    t = 1e-12 leaves f within t/3 of v relative (|c| <= 1): v is returned.
+    A root past t = 1e7, no root in 200 steps or a value 1e-9 over Elder's
+    proxy 1/(4 (alpha+beta+1)) (arXiv:1611.00065) raises ConvergenceError.
     """
     v = float(sub_gamma_params(params).v)
+    if params.alpha == params.beta:
+        return v
+    if params.alpha > params.beta:
+        params = params.swapped()
     best = v
-    for sign in (1.0, -1.0):
-        t_hi = _SCAN_T_MAX_INITIAL
-        while True:
-            grid = _log_grid(_SCAN_T_MIN, t_hi)
-            values = [_proxy_objective(params, sign * t, cfg) for t in grid]
-            idx = max(range(len(grid)), key=values.__getitem__)
-            # extend while the maximum sits in the top decade and may keep rising
-            if grid[idx] * 10.0 > t_hi and t_hi < _SCAN_T_MAX_CAP:
-                t_hi = min(t_hi * 10.0, _SCAN_T_MAX_CAP)
-                continue
-            break
-        if grid[idx] * 10.0 > t_hi:
-            raise ConvergenceError(
-                f"sub-gaussian proxy objective still rising at |t|={t_hi} for {params}"
-            )
-        lo = grid[idx - 1] if idx > 0 else grid[0]
-        hi = grid[idx + 1]
-        refined = _golden_max(lambda t: _proxy_objective(params, sign * t, cfg), lo, hi)
-        best = max(best, values[idx], refined)
-    return best
 
+    def residual(t: float) -> float:
+        nonlocal best
+        psi, g = _cgf_and_residual(params, t, cfg)
+        best = max(best, 2.0 * psi / (t * t))
+        return g
 
-def _log_grid(lo: float, hi: float) -> list[float]:
-    n = max(2, int(_SCAN_POINTS_PER_DECADE * math.log10(hi / lo)) + 1)
-    ratio = math.log(hi / lo)
-    return [lo * math.exp(ratio * i / (n - 1)) for i in range(n)]
-
-
-def _golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6) -> float:
-    """Golden-section maximization of a unimodal f on [lo, hi].
-
-    Interval tolerance 1e-6 relative leaves the value within ~1e-12 of the
-    peak because the objective is smooth and flat at its maximum.
-    """
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > rel_tol * max(1.0, abs(lo), abs(hi)):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
+    lo, g_lo = 1e-12, residual(1e-12)  # g > 0 below the root, g < 0 above it
+    if g_lo <= 0.0:
+        return best
+    hi, g_hi, side = math.inf, -1.0, 0  # g_hi is unused while hi is infinite
+    for _ in range(200):
+        t = 2.0 * lo if hi == math.inf else lo + (hi - lo) * g_lo / (g_lo - g_hi)
+        if t > 1e7:
+            raise ConvergenceError(f"sub-gaussian proxy objective rising at t={lo} for {params}")
+        g = residual(t)
+        if g > 0.0:  # Illinois: halve the residual of an end kept twice
+            lo, g_lo, g_hi, side = t, g, g_hi * (0.5 if side > 0 else 1.0), 1
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return max(f1, f2)
+            hi, g_hi, g_lo, side = t, g, g_lo * (0.5 if side < 0 else 1.0), -1
+        if g == 0.0 or hi - lo <= 1e-9 * lo:
+            break
+    else:
+        raise ConvergenceError(f"sub-gaussian proxy root not found for {params}: [{lo}, {hi}]")
+    elder = 1.0 / (4.0 * (float(params.total) + 1.0))
+    if not best <= elder * (1.0 + 1e-9):
+        raise ConvergenceError(f"sub-gaussian proxy {best} exceeds Elder's bound {elder}")
+    return best
 
 
 def subgaussian_bound(
@@ -226,7 +218,7 @@ def subgaussian_bound(
     Side-independent. Pass a precomputed proxy to skip the optimization when
     evaluating many deviations for one parameter pair.
     """
-    if eps < 0:
+    if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
     sigma2 = subgaussian_optimal_proxy(params, cfg) if proxy is None else proxy
     if eps == 0:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .bounds import SubGammaParams, TailSide, sub_gamma_params
-from .moments import BetaParams
+from .moments import BetaParams, _centered_series, _series_length
 from .specfun import DEFAULT_CONFIG, EvalConfig, log_gamma, log_kummer_1f1
 
 # Slack applied when certifying the derivative-ratio inequality; matches the
@@ -89,7 +89,8 @@ def chernoff_exponent_numeric(
     v, c = float(sg.v), float(sg.c)
     t0 = eps / (v + c * eps) if v + c * eps > 0 else eps / v
     t_prev, f_prev = 0.0, 0.0
-    t_cur = max(t0, 1e-3)
+    # t0 diverges as eps nears v/|c| when c < 0: a series of ~2 t0 terms past the cap
+    t_cur = min(max(t0, 1e-3), _BRACKET_T_CAP)
     f_cur = objective(t_cur)
     converged = True
     while True:
@@ -142,32 +143,6 @@ def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:
     return eps * eps / (2.0 * v) - c * eps**3 / (6.0 * v * v)
 
 
-def _centered_series(params: BetaParams, t: float, terms: int) -> tuple[float, float]:
-    """Truncated series for (phi(t) - 1, phi'(t)) from the scaled moment recurrence.
-
-    Works termwise on M_d = m_d t^d, which the order-2 recurrence produces
-    without under- or overflow even when m_d alone would underflow:
-
-        d (s+d-1) M_d = ((d-1)(b-a)/s) t M_{d-1} + (a b / s^2) t^2 M_{d-2}
-
-    Returning phi - 1 rather than phi preserves full relative precision near
-    t = 0 where the sum is O(t^2).
-    """
-    a, b = float(params.alpha), float(params.beta)
-    s = a + b
-    coeff1 = (b - a) / s * t
-    coeff2 = a * b / (s * s) * t * t
-    m_prev2, m_prev1 = 1.0, 0.0
-    sigma = 0.0
-    dphi = 0.0
-    for d in range(2, terms + 1):
-        m_d = ((d - 1) * coeff1 * m_prev1 + coeff2 * m_prev2) / (d * (s + d - 1.0))
-        sigma += m_d
-        dphi += d * m_d
-        m_prev2, m_prev1 = m_prev1, m_d
-    return sigma, dphi / t if t != 0.0 else 0.0
-
-
 def _series_remainders(t: float, terms: int) -> tuple[float, float]:
     """Certified tails of the phi and phi' series past the truncation order.
 
@@ -194,11 +169,6 @@ def _series_remainders(t: float, terms: int) -> tuple[float, float]:
     return rem, rem + lead
 
 
-def _series_length(t: float) -> int:
-    # e*|t| terms reach the decay regime; the margin drives the remainder to ~0
-    return max(40, int(2.8 * abs(t)) + 60)
-
-
 def derivative_ratio_check(params: BetaParams, t: float) -> bool:
     """Certified check of the derivative-ratio inequality at a single t > 0.
 
@@ -218,7 +188,8 @@ def derivative_ratio_check(params: BetaParams, t: float) -> bool:
     else:
         rhs = v * t
     terms = _series_length(t)
-    sigma, dphi = _centered_series(params, t, terms)
+    sigma, excess = _centered_series(params, t, terms)
+    dphi = (2.0 * sigma + excess) / t
     rem_phi, rem_dphi = _series_remainders(t, terms)
     phi_low = 1.0 + sigma - rem_phi
     if phi_low <= 0.0:

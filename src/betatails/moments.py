@@ -42,9 +42,9 @@ class BetaParams:
             object.__setattr__(self, "alpha", Fraction(self.alpha))
         if isinstance(self.beta, int):
             object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.alpha <= 0 or self.beta <= 0:
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):  # nan fails too
             raise ValueError(
-                f"shape parameters must be positive, got alpha={self.alpha}, beta={self.beta}"
+                f"shape parameters must be positive and finite, got {self.alpha}, {self.beta}"
             )
 
     @property
@@ -144,6 +144,36 @@ def central_moments_recursive(params: BetaParams, dmax: int) -> MomentTable:
         normalized = normalized[: dmax + 1]
 
     return MomentTable(params=params, central=tuple(central), normalized=tuple(normalized))
+
+
+def _centered_series(params: BetaParams, t: float, terms: int) -> tuple[float, float]:
+    """Truncated series for phi(t) - 1 and t phi'(t) - 2 (phi(t) - 1), phi the centered MGF.
+
+    Works termwise on M_d = m_d t^d, which the order-2 recurrence produces
+    without under- or overflow even when m_d alone would underflow:
+
+        d (s+d-1) M_d = ((d-1)(b-a)/s) t M_{d-1} + (a b / s^2) t^2 M_{d-2}
+
+    phi - 1 = sum_{d>=2} M_d keeps full relative precision near t = 0, and
+    sum_{d>=3} (d-2) M_d keeps it where t phi' and 2 (phi - 1) agree to O(t^2).
+    """
+    a, b = float(params.alpha), float(params.beta)
+    s = a + b
+    coeff1 = (b - a) / s * t
+    coeff2 = a * b / (s * s) * t * t
+    m_prev2, m_prev1 = 1.0, 0.0
+    sigma = excess = 0.0
+    for d in range(2, terms + 1):
+        m_d = ((d - 1) * coeff1 * m_prev1 + coeff2 * m_prev2) / (d * (s + d - 1.0))
+        sigma += m_d
+        excess += (d - 2) * m_d
+        m_prev2, m_prev1 = m_prev1, m_d
+    return sigma, excess
+
+
+def _series_length(t: float) -> int:
+    # e*|t| terms reach the decay regime; the margin drives the remainder to ~0
+    return max(40, int(2.8 * abs(t)) + 60)
 
 
 def central_moment_binomial_oracle(params: BetaParams, d: int) -> Scalar:

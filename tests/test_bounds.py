@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,8 +94,16 @@ class TestSubGammaBound:
         with pytest.raises(ValueError):
             sub_gamma_bound(sub_gamma_params(BetaParams(2, 3)), -0.1)
 
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError):
+            sub_gamma_bound(sub_gamma_params(BetaParams(2, 3)), math.nan)
+
 
 class TestBernsteinTailBound:
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError):
+            bernstein_tail_bound(BetaParams(2, 98), math.nan, TailSide.UPPER)
+
     def test_unit_at_zero(self):
         assert bernstein_tail_bound(BetaParams(2, 98), 0.0, TailSide.UPPER) == 1.0
 
@@ -150,6 +159,10 @@ class TestBernsteinTailBound:
 
 
 class TestExactTail:
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError):
+            exact_tail(BetaParams(2, 98), math.nan, TailSide.UPPER)
+
     def test_upper_tail_value(self):
         # quadrature oracle: P{X > 0.04} for Beta(2, 98)
         got = exact_tail(BetaParams(2, 98), 0.02, TailSide.UPPER)
@@ -218,7 +231,65 @@ class TestSubgaussianProxy:
         )
 
 
+# Shapes from mildly to extremely skewed, both orientations, tiny to large.
+ORACLE_SHAPES = [
+    (2, 3), (3, 2), (1000, 1001), (0.5, 0.7), (0.01, 0.02), (1e-3, 1),
+    (0.3, 30), (2, 98), (98, 2), (2, 998), (1, 1e4),
+]
+
+
+def _mp_proxy(alpha, beta):
+    """sup_t 2 psi(t) / t^2 from mpmath's 1F1 at 40 digits.
+
+    psi(t) = -t mu + log 1F1(alpha; s; t) and psi'(t) = -mu + (alpha/s)
+    1F1(alpha+1; s+1; t) / 1F1(alpha; s; t), both evaluated at the signed t
+    (no reflection). f = 2 psi / t^2 rises in |t| while t psi' - 2 psi > 0;
+    the root is bracketed by doubling |t| on the side of the skew and
+    polished by mpmath's own solver. Returns the value at the root and
+    the value at the mirror point on the other side.
+    """
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        s = a + b
+        mu = a / s
+
+        def hyp(x, y, t):
+            return mpmath.hyp1f1(x, y, t, maxterms=10**6)
+
+        def psi(t):
+            return -t * mu + mpmath.log(hyp(a, s, t))
+
+        def residual(t):
+            return t * (-mu + a / s * hyp(a + 1, s + 1, t) / hyp(a, s, t)) - 2 * psi(t)
+
+        inner = outer = mpmath.mpf(1 if b > a else -1)
+        while residual(outer) > 0:
+            inner, outer = outer, 2 * outer
+        while residual(inner) < 0:
+            inner = inner / 2
+        root = mpmath.findroot(residual, (inner, outer), solver="anderson")
+        return float(2 * psi(root) / root**2), float(2 * psi(-root) / root**2)
+
+
+class TestSubgaussianProxyOracle:
+    @pytest.mark.parametrize("a,b", ORACLE_SHAPES)
+    def test_matches_mpmath_stationarity_root(self, a, b):
+        expected, mirror = _mp_proxy(a, b)
+        assert mirror < expected
+        assert subgaussian_optimal_proxy(BetaParams(a, b)) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("a,b", ORACLE_SHAPES)
+    def test_between_variance_and_elder_bound(self, a, b):
+        p = BetaParams(a, b)
+        proxy = subgaussian_optimal_proxy(p)
+        assert float(sub_gamma_params(p).v) <= proxy <= 1.0 / (4.0 * (a + b + 1))
+
+
 class TestSubgaussianBound:
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError):
+            subgaussian_bound(BetaParams(2, 98), math.nan, proxy=1e-3)
+
     def test_unit_at_zero(self):
         assert subgaussian_bound(BetaParams(2, 98), 0.0) == 1.0
 

@@ -1,6 +1,7 @@
 """Tests for the centered MGF/CGF and the numeric Chernoff machinery."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,19 @@ class TestChernoffExponent:
         res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
         assert not res.converged
         assert res.exponent >= 0.0
+
+    @pytest.mark.parametrize("eps", [0.3325, 0.33259])
+    def test_first_guess_past_the_cap_starts_at_the_cap(self, eps):
+        # just below v/|c| = 0.332597 on the gaussian branch the first guess
+        # eps / (v + c eps) is 4e6 and 6e7; starting there summed a series of
+        # about 2 t0 terms before the bracket gave up
+        p = BetaParams(527.9, 263.4)
+        start = time.perf_counter()
+        res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
+        assert time.perf_counter() - start < 5.0
+        assert res.t_star <= 1e5
+        assert not res.converged
+        assert math.exp(-res.exponent) >= exact_tail(p, eps, TailSide.UPPER) - 1e-10
 
 
 class TestChernoffExponentExpansion:

@@ -39,6 +39,13 @@ class TestBetaParams:
         with pytest.raises(ValueError):
             BetaParams(Fraction(1), Fraction(-2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            BetaParams(bad, 2)
+        with pytest.raises(ValueError):
+            BetaParams(2.0, bad)
+
     def test_int_inputs_become_exact(self):
         p = BetaParams(2, 3)
         assert p.is_exact
