@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .moments import BetaParams, Scalar, _centered_series, _series_length
+from .moments import BetaParams, Scalar, _cgf_kernel
 from .specfun import ConvergenceError, DEFAULT_CONFIG, EvalConfig, regularized_incomplete_beta
 
 
@@ -123,38 +123,6 @@ def log_upper_bound(x: float) -> float:
     return x - x * x / (2.0 * (1.0 + x / 3.0))
 
 
-def _cgf_and_residual(params: BetaParams, t: float, cfg: EvalConfig) -> tuple[float, float]:
-    """psi(t) and g(t) = t psi'(t) - 2 psi(t) for t > 0 and beta >= alpha.
-
-    beta >= alpha makes every central moment non-negative, so the centered
-    series cannot cancel. It serves while t^2 <= 16 (s+1), where Elder's
-    bound keeps psi <= 2; that covers t <= 4, where -t mu + log 1F1 would
-    cancel. With phi = 1 + sigma and e = t phi' - 2 sigma, g = e / (1 + sigma)
-    + 2 (sigma / (1 + sigma) - log1p(sigma)). Beyond, one pass of the 1F1(a; s; t)
-    series (about 2t terms) gives log 1F1 and t d/dt log 1F1 = sum_k k term_k / 1F1.
-    """
-    a, b = float(params.alpha), float(params.beta)
-    s = a + b
-    if t * t <= 16.0 * (s + 1.0):
-        sigma, excess = _centered_series(params, t, _series_length(t))
-        psi = math.log1p(sigma)
-        return psi, excess / (1.0 + sigma) + 2.0 * (sigma / (1.0 + sigma) - psi)
-    rescales, term, total, weighted = 0, 1.0, 1.0, 0.0
-    ratio = a * t / s  # term_{k+1} / term_k at k = 0
-    for k in range(1, max(cfg.max_iter, int(4 * t) + 2000)):
-        term *= ratio
-        total += term
-        weighted += k * term
-        if total > 1e280:
-            rescales += 1
-            total, term, weighted = total * 1e-280, term * 1e-280, weighted * 1e-280
-        ratio = (a + k) * t / ((s + k) * (k + 1.0))
-        if ratio < 1.0 and term * ratio <= cfg.rel_tol * total * (1.0 - ratio):
-            psi = math.log(total) + rescales * math.log(1e280) - t * a / s
-            return psi, weighted / total - t * a / s - 2.0 * psi
-    raise ConvergenceError(f"1F1 series for the proxy did not converge for {params}, t={t}")
-
-
 def subgaussian_optimal_proxy(params: BetaParams, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Best sub-gaussian variance proxy: sup over t != 0 of f(t) = 2 psi(t) / t^2.
 
@@ -179,7 +147,7 @@ def subgaussian_optimal_proxy(params: BetaParams, cfg: EvalConfig = DEFAULT_CONF
 
     def residual(t: float) -> float:
         nonlocal best
-        psi, g = _cgf_and_residual(params, t, cfg)
+        psi, _, _, g = _cgf_kernel(params, t, cfg)
         best = max(best, 2.0 * psi / (t * t))
         return g
 

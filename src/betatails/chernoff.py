@@ -3,30 +3,34 @@
 Write Z = X - E[X]. The moment generating function has the closed form
 phi(t) = exp(-t mu) 1F1(alpha; alpha+beta; t) and, equivalently, the
 everywhere-convergent series 1 + sum_{d>=2} m_d t^d over normalized central
-moments m_d = mu_d / d!. Both are used here: the closed form for the cumulant
-generating function psi = log phi, the series (with a certified truncation
-remainder from |mu_d| <= 1) for the derivative-ratio inequality checks.
+moments m_d = mu_d / d!. `moments._cgf_kernel` sums whichever serves at t
+into psi = log phi and its derivatives; the series with a certified
+remainder from |mu_d| <= 1 backs the derivative-ratio inequality checks.
 
 The Cramer-Chernoff exponent psi*(eps) = sup_{t>=0} (t eps - psi(t)) is
-computed by bracketing plus golden-section search; psi is strictly convex, so
-the objective is strictly concave and unimodal.
+attained where psi'(t) = eps. psi'' is a tilted variance in (0, 1/4], so
+safeguarded Newton steps on psi'(t) = eps reach the root in a few kernel
+evaluations; past the bracket cap t = 1e5 the solve stops unconverged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bounds import SubGammaParams, TailSide, sub_gamma_params
-from .moments import BetaParams, _centered_series, _series_length
-from .specfun import DEFAULT_CONFIG, EvalConfig, log_gamma, log_kummer_1f1
+from .moments import BetaParams, _centered_series, _cgf_kernel, _series_length
+from .specfun import DEFAULT_CONFIG, EvalConfig, log_gamma
 
 # Slack applied when certifying the derivative-ratio inequality; matches the
 # tolerance the verification suite runs at.
 CHECK_SLACK = 1e-10
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_T_CAP = 1e5
+# psi'(t) within this relative distance of eps, or a bracket this relative
+# width, leaves the exponent exact to rounding: its error is quadratic in both
+_SOLVE_RTOL = 1e-13
+_SOLVE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -38,27 +42,21 @@ class ChernoffResult:
     converged: bool
 
 
-def _series_config(cfg: EvalConfig, t: float, tighten: float = 1.0) -> EvalConfig:
-    # the 1F1 series needs roughly 2|t| terms before it starts decaying
-    needed = max(cfg.max_iter, int(4.0 * abs(t)) + 2000)
-    rel_tol = max(cfg.rel_tol * tighten, 1e-15)
-    if needed == cfg.max_iter and rel_tol == cfg.rel_tol:
-        return cfg
-    return replace(cfg, max_iter=needed, rel_tol=rel_tol)
-
-
 def centered_mgf(params: BetaParams, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """phi(t) = E[exp(t (X - E[X]))] via the closed 1F1 form; phi(0) = 1."""
     return math.exp(cgf(params, t, cfg))
 
 
 def cgf(params: BetaParams, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """psi(t) = log phi(t); zero at t = 0, convex, and non-negative everywhere."""
+    """psi(t) = log phi(t); zero at t = 0, convex, and non-negative everywhere.
+
+    Negative t is positive t for 1 - X; the series budget grows with |t|.
+    """
     if t == 0.0:
         return 0.0
-    a, b = float(params.alpha), float(params.beta)
-    mu = a / (a + b)
-    return -t * mu + log_kummer_1f1(a, a + b, t, cfg)
+    if t < 0.0:
+        return _cgf_kernel(params.swapped(), -t, cfg)[0]
+    return _cgf_kernel(params, t, cfg)[0]
 
 
 def chernoff_exponent_numeric(
@@ -69,6 +67,13 @@ def chernoff_exponent_numeric(
     The lower tail is the upper tail of 1 - X ~ Beta(beta, alpha), so only one
     optimization path exists. Valid for 0 < eps < support width on the chosen
     side; exp(-exponent) then upper-bounds the exact tail probability.
+
+    Newton steps start from eps / (v + c eps) clamped to [1e-3, 1e5] and keep
+    a bracket psi'(lo) < eps <= psi'(hi); a step leaving it bisects. Until
+    the root is bracketed a step at most doubles t, and one past t = 1e5,
+    where a series costs about 2t terms, returns converged=False without
+    evaluating there. exponent is the largest t eps - psi(t) evaluated, at
+    least 0, and t_star the t that gave it.
     """
     if side is TailSide.LOWER:
         return chernoff_exponent_numeric(params.swapped(), eps, TailSide.UPPER, cfg)
@@ -78,56 +83,33 @@ def chernoff_exponent_numeric(
         raise ValueError(
             f"eps must lie strictly inside (0, {1.0 - mu}) for the upper tail, got {eps}"
         )
-
-    def objective(t: float) -> float:
-        # run the series two orders tighter than requested so that its
-        # truncation stays invisible against the 1e-12 exponent tolerance
-        return t * eps - cgf(params, t, _series_config(cfg, t, tighten=1e-2))
-
-    # geometric bracket growth from a sub-gamma-informed initial scale
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
     t0 = eps / (v + c * eps) if v + c * eps > 0 else eps / v
-    t_prev, f_prev = 0.0, 0.0
     # t0 diverges as eps nears v/|c| when c < 0: a series of ~2 t0 terms past the cap
-    t_cur = min(max(t0, 1e-3), _BRACKET_T_CAP)
-    f_cur = objective(t_cur)
-    converged = True
-    while True:
-        t_next = 2.0 * t_cur
-        if t_next > _BRACKET_T_CAP:
-            converged = False
-            break
-        f_next = objective(t_next)
-        if f_next < f_cur:
-            break
-        t_prev, f_prev = t_cur, f_cur
-        t_cur, f_cur = t_next, f_next
-    if not converged:
-        return ChernoffResult(exponent=max(f_cur, 0.0), t_star=t_cur, converged=False)
-
-    lo, hi = t_prev, t_next
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    # psi'' is a tilted variance of a [0,1]-supported variable, so |g''| <= 1/4
-    # and a bracket of width W leaves the peak within (0.382 W)^2 / 8; width
-    # 2e-6 puts that near 7e-14, inside the 1e-12 exponent tolerance
-    while hi - lo > 2e-6:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = objective(x2)
+    t = min(max(t0, 1e-3), _BRACKET_T_CAP)
+    lo, hi = 0.0, math.inf
+    best_f = best_t = 0.0
+    for _ in range(_SOLVE_STEPS):
+        psi, slope, curvature, _ = _cgf_kernel(params, t, cfg)
+        f = t * eps - psi
+        if f > best_f:
+            best_f, best_t = f, t
+        if slope < eps:
+            lo = t
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = objective(x1)
-    if f1 >= f2:
-        best_t, best_f = x1, f1
-    else:
-        best_t, best_f = x2, f2
-    best_f = max(best_f, f_cur, f_prev, 0.0)
-    return ChernoffResult(exponent=best_f, t_star=best_t, converged=True)
+            hi = t
+        if abs(slope - eps) <= _SOLVE_RTOL * eps or hi - lo <= _SOLVE_RTOL * lo:
+            return ChernoffResult(exponent=best_f, t_star=best_t, converged=True)
+        # psi'' rounded to <= 0 at large t falls back to a doubling or a bisection
+        t = t + (eps - slope) / curvature if curvature > 0.0 else math.inf
+        if hi == math.inf:
+            t = min(t, 2.0 * lo)
+            if t > _BRACKET_T_CAP:
+                break
+        elif not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    return ChernoffResult(exponent=best_f, t_star=best_t, converged=False)
 
 
 def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:
@@ -136,7 +118,7 @@ def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:
     psi*(eps) matches this to O(eps^4) as eps -> 0, which is what certifies
     (v, c) as the best possible sub-gamma parameters.
     """
-    if eps < 0:
+    if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
@@ -188,7 +170,7 @@ def derivative_ratio_check(params: BetaParams, t: float) -> bool:
     else:
         rhs = v * t
     terms = _series_length(t)
-    sigma, excess = _centered_series(params, t, terms)
+    sigma, excess, _ = _centered_series(params, t, terms)
     dphi = (2.0 * sigma + excess) / t
     rem_phi, rem_dphi = _series_remainders(t, terms)
     phi_low = 1.0 + sigma - rem_phi
@@ -224,7 +206,7 @@ def best_tilt(sg: SubGammaParams, eps: float) -> float:
 
     Always below 1/c when c > 0, so the cumulant bound stays finite there.
     """
-    if eps < 0:
+    if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
     v, c = float(sg.v), float(sg.c)
     return eps / (c * eps + v)

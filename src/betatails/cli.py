@@ -80,7 +80,8 @@ def comparison_rows(
 
     The sub-gaussian proxy is optimized once per call and reused for every
     row. The Chernoff column is exp(-psi*(eps)); a non-converged optimizer
-    still yields a valid bound since every evaluated t gives one.
+    still yields a valid bound since every evaluated t gives one, and each
+    such point is reported on stderr.
     """
     mu = float(params.mean())
     width = 1.0 - mu
@@ -99,6 +100,9 @@ def comparison_rows(
                 params, eps, bounds.TailSide.UPPER, cfg
             )
             cher = math.exp(-result.exponent)
+            if not result.converged:
+                print(f"warning: Chernoff optimizer unconverged at eps={eps!r}, "
+                      f"t_star={result.t_star!r}", file=sys.stderr)
         row = ComparisonRow(
             epsilon=eps, exact=exact, bernstein=bern, subgaussian=subg, chernoff=cher
         )

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .specfun import gauss_2f1_terminating, pochhammer
+from .specfun import _LOG_RESCALE, ConvergenceError, EvalConfig, gauss_2f1_terminating, pochhammer
 
 Scalar = Fraction | float
 
@@ -146,34 +146,80 @@ def central_moments_recursive(params: BetaParams, dmax: int) -> MomentTable:
     return MomentTable(params=params, central=tuple(central), normalized=tuple(normalized))
 
 
-def _centered_series(params: BetaParams, t: float, terms: int) -> tuple[float, float]:
-    """Truncated series for phi(t) - 1 and t phi'(t) - 2 (phi(t) - 1), phi the centered MGF.
+def _centered_series(params: BetaParams, t: float, terms: int) -> tuple[float, float, float]:
+    """Truncated series for phi(t) - 1, t phi'(t) - 2 (phi(t) - 1) and t^2 phi''(t).
 
-    Works termwise on M_d = m_d t^d, which the order-2 recurrence produces
-    without under- or overflow even when m_d alone would underflow:
+    phi is the centered MGF. Works termwise on M_d = m_d t^d, which the
+    order-2 recurrence produces without under- or overflow even when m_d
+    alone would underflow:
 
         d (s+d-1) M_d = ((d-1)(b-a)/s) t M_{d-1} + (a b / s^2) t^2 M_{d-2}
 
     phi - 1 = sum_{d>=2} M_d keeps full relative precision near t = 0, and
-    sum_{d>=3} (d-2) M_d keeps it where t phi' and 2 (phi - 1) agree to O(t^2).
+    sum_{d>=3} (d-2) M_d keeps it where t phi' and 2 (phi - 1) agree to O(t^2);
+    t^2 phi'' = sum_{d>=2} d (d-1) M_d.
     """
     a, b = float(params.alpha), float(params.beta)
     s = a + b
     coeff1 = (b - a) / s * t
     coeff2 = a * b / (s * s) * t * t
     m_prev2, m_prev1 = 1.0, 0.0
-    sigma = excess = 0.0
+    sigma = excess = curvature = 0.0
     for d in range(2, terms + 1):
         m_d = ((d - 1) * coeff1 * m_prev1 + coeff2 * m_prev2) / (d * (s + d - 1.0))
         sigma += m_d
         excess += (d - 2) * m_d
+        curvature += d * (d - 1) * m_d
         m_prev2, m_prev1 = m_prev1, m_d
-    return sigma, excess
+    return sigma, excess, curvature
 
 
 def _series_length(t: float) -> int:
     # e*|t| terms reach the decay regime; the margin drives the remainder to ~0
     return max(40, int(2.8 * abs(t)) + 60)
+
+
+def _cgf_kernel(
+    params: BetaParams, t: float, cfg: EvalConfig
+) -> tuple[float, float, float, float]:
+    """psi(t), psi'(t), psi''(t) and g(t) = t psi'(t) - 2 psi(t) for t > 0.
+
+    psi is the CGF of X - E[X]. While t^2 <= 16 (s+1), where psi <= 2
+    (Elder), the centered series serves: -t mu + log 1F1 would cancel
+    there, and with phi = 1 + sigma and e = t phi' - 2 sigma, g = e / phi +
+    2 (sigma / phi - log1p(sigma)) stays exact as t psi' and 2 psi merge.
+    Beyond, one rescaled pass of the 1F1(alpha; s; t) series, about 2t terms,
+    sums term_k, k term_k and k^2 term_k until the rest is below rounding.
+    psi'' only steers Newton steps; at large t it cancels to a few digits.
+    """
+    a, b = float(params.alpha), float(params.beta)
+    s = a + b
+    if t * t <= 16.0 * (s + 1.0):
+        sigma, excess, curvature = _centered_series(params, t, _series_length(t))
+        phi = 1.0 + sigma
+        psi = math.log1p(sigma)
+        t_dpsi = (2.0 * sigma + excess) / phi
+        g = excess / phi + 2.0 * (sigma / phi - psi)
+        return psi, t_dpsi / t, (curvature / phi - t_dpsi * t_dpsi) / (t * t), g
+    rescales, term, total, first, second = 0, 1.0, 1.0, 0.0, 0.0
+    ratio = a * t / s  # term_{k+1} / term_k at k = 0
+    for k in range(1, max(cfg.max_iter, int(4 * t) + 2000)):
+        term *= ratio
+        total += term
+        first += k * term
+        second += k * k * term
+        if total > 1e280:
+            rescales += 1
+            total, term = total * 1e-280, term * 1e-280
+            first, second = first * 1e-280, second * 1e-280
+        ratio = (a + k) * t / ((s + k) * (k + 1.0))
+        if ratio < 1.0 and term * ratio <= 1e-16 * total * (1.0 - ratio):
+            psi = math.log(total) + rescales * _LOG_RESCALE - t * a / s
+            mean = first / total  # t F' / F
+            t_dpsi = mean - t * a / s
+            t2_d2psi = second / total - mean - mean * mean
+            return psi, t_dpsi / t, t2_d2psi / (t * t), t_dpsi - 2.0 * psi
+    raise ConvergenceError(f"1F1 series for the CGF did not converge for {params}, t={t}")
 
 
 def central_moment_binomial_oracle(params: BetaParams, d: int) -> Scalar:

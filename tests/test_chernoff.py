@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from betatails.bounds import TailSide, bernstein_tail_bound, exact_tail, sub_gamma_params
@@ -21,6 +22,42 @@ from betatails.moments import BetaParams, central_moments_recursive
 from betatails.specfun import EvalConfig
 
 INEQUALITY_GRID = [(2, 98), (2, 998), (5, 5), (98, 2), (1, 1), (2, 3)]
+
+# Both kernel branches, and alpha > beta on the upper side (the gaussian branch).
+SOLVE_ORACLE_SHAPES = [(2, 98), (2, 998), (5, 5), (2, 3), (98, 2), (0.5, 0.7), (527.9, 263.4)]
+# deviations as fractions of the upper support width; every root lies below t = 1e5
+SOLVE_ORACLE_FRACTIONS = [1e-3, 1e-2, 0.1, 0.5, 0.9]
+
+
+def _mp_hyp(a, c, t):
+    return mpmath.hyp1f1(a, c, t, maxterms=10**6)
+
+
+def _mp_cgf(alpha, beta, t):
+    """psi(t) = -t mu + log 1F1(alpha; alpha+beta; t) from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        a, s, t = mpmath.mpf(alpha), mpmath.mpf(alpha) + mpmath.mpf(beta), mpmath.mpf(t)
+        return -t * a / s + mpmath.log(_mp_hyp(a, s, t))
+
+
+def _mp_chernoff(alpha, beta, eps):
+    """psi*(eps) = t eps - psi(t) at the root of psi'(t) = eps, mpmath at 40 digits.
+
+    psi'(t) = -mu + (alpha/s) 1F1(alpha+1; s+1; t) / 1F1(alpha; s; t); the root
+    is bracketed by doubling t from 1 and polished by mpmath's own solver.
+    """
+    with mpmath.workdps(40):
+        a, b, eps = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(eps)
+        s = a + b
+
+        def excess_slope(t):
+            return -a / s + a / s * _mp_hyp(a + 1, s + 1, t) / _mp_hyp(a, s, t) - eps
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while excess_slope(hi) < 0:
+            lo, hi = hi, 2 * hi
+        root = mpmath.findroot(excess_slope, (lo, hi), solver="anderson")
+        return root * eps - _mp_cgf(alpha, beta, root)
 
 
 def _logspace(lo, hi, n):
@@ -79,6 +116,11 @@ class TestCgf:
         p = BetaParams(2, 3)
         assert cgf(p, 1.0) == pytest.approx(math.log(centered_mgf(p, 1.0)), rel=1e-12)
 
+    def test_large_tilt_past_the_iteration_cap(self):
+        # the 1F1 series needs about 2t terms, far more than max_iter = 10,000
+        expected = _mp_cgf(2, 98, 2e5)
+        assert cgf(BetaParams(2, 98), 2e5) == pytest.approx(float(expected), rel=1e-12)
+
     @pytest.mark.parametrize("a,b", [(2, 98), (5, 5)])
     def test_convexity_on_grid(self, a, b):
         p = BetaParams(a, b)
@@ -135,6 +177,16 @@ class TestChernoffExponent:
         assert res.exponent >= 0.0
         assert res.t_star >= 0.0
 
+    @pytest.mark.parametrize("a,b", SOLVE_ORACLE_SHAPES)
+    def test_matches_mpmath_stationarity_root(self, a, b):
+        p = BetaParams(a, b)
+        width = 1.0 - float(p.mean())
+        for fraction in SOLVE_ORACLE_FRACTIONS:
+            eps = fraction * width
+            res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
+            assert res.converged
+            assert res.exponent == pytest.approx(float(_mp_chernoff(a, b, eps)), rel=1e-12)
+
     @pytest.mark.parametrize("eps", [0.0, 0.98, 1.5])
     def test_domain_validation(self, eps):
         with pytest.raises(ValueError):
@@ -166,6 +218,10 @@ class TestChernoffExponent:
 class TestChernoffExponentExpansion:
     def test_zero_at_origin(self):
         assert chernoff_exponent_expansion(BetaParams(2, 5), 0.0) == 0.0
+
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError):
+            chernoff_exponent_expansion(BetaParams(2, 98), math.nan)
 
     def test_symmetric_is_pure_gaussian(self):
         p = BetaParams(3, 3)
@@ -245,6 +301,10 @@ class TestBestTilt:
     def test_zero_at_origin(self):
         sg = sub_gamma_params(BetaParams(2, 98))
         assert best_tilt(sg, 0.0) == 0.0
+
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError):
+            best_tilt(sub_gamma_params(BetaParams(2, 98)), math.nan)
 
     def test_gaussian_limit(self):
         from betatails.bounds import SubGammaParams

@@ -164,6 +164,20 @@ class TestCompareCommand:
         for r in ratios:
             assert r == pytest.approx(ratios[0], rel=1e-9)
 
+    def test_unconverged_point_is_reported_on_stderr(self, tmp_path, capsys):
+        # the support width of Beta(2, 98) is 0.98: the last point's tilt
+        # lies far past the optimizer's bracket cap, the first one's does not
+        out = tmp_path / "edge.csv"
+        args = ["compare", "--alpha", "2", "--beta", "98", "--grid", "0.5:0.9799999:2"]
+        assert main(args + ["--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote 2 rows to {out}\n"
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 1
+        assert "eps=0.9799999" in warnings[0] and "t_star=" in warnings[0]
+        rows = comparison_rows(BetaParams(2, 98), GridSpec(0.5, 0.9799999, 2))
+        assert out.read_text(encoding="utf-8") == render_csv(rows)
+
     def test_unwritable_path_exits_3(self, tmp_path, capsys):
         rc = main(["compare", "--alpha", "2", "--beta", "98",
                    "--grid", "0:0.05:5", "--out", str(tmp_path / "no" / "x.csv")])
