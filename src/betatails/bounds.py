@@ -135,8 +135,10 @@ def subgaussian_optimal_proxy(params: BetaParams, cfg: EvalConfig = DEFAULT_CONF
     doubling t from 1e-12, then refined by Illinois steps to 1e-9 relative
     width, where f, flat at its peak, is exact to rounding. A root below
     t = 1e-12 leaves f within t/3 of v relative (|c| <= 1): v is returned.
-    A root past t = 1e7, no root in 200 steps or a value 1e-9 over Elder's
-    proxy 1/(4 (alpha+beta+1)) (arXiv:1611.00065) raises ConvergenceError.
+    The root grows with the shape: over shapes from 1e-3 to 1e5 the bracket
+    reaches at most 18 (alpha+beta+1). A bracket past t = 1e3 (alpha+beta+1),
+    no root in 200 steps or a value 1e-9 over Elder's proxy
+    1/(4 (alpha+beta+1)) (arXiv:1611.00065) raises ConvergenceError.
     """
     v = float(sub_gamma_params(params).v)
     if params.alpha == params.beta:
@@ -155,9 +157,10 @@ def subgaussian_optimal_proxy(params: BetaParams, cfg: EvalConfig = DEFAULT_CONF
     if g_lo <= 0.0:
         return best
     hi, g_hi, side = math.inf, -1.0, 0  # g_hi is unused while hi is infinite
+    t_limit = 1e3 * (float(params.total) + 1.0)
     for _ in range(200):
         t = 2.0 * lo if hi == math.inf else lo + (hi - lo) * g_lo / (g_lo - g_hi)
-        if t > 1e7:
+        if t > t_limit:
             raise ConvergenceError(f"sub-gaussian proxy objective rising at t={lo} for {params}")
         g = residual(t)
         if g > 0.0:  # Illinois: halve the residual of an end kept twice

@@ -70,10 +70,11 @@ def chernoff_exponent_numeric(
 
     Newton steps start from eps / (v + c eps) clamped to [1e-3, 1e5] and keep
     a bracket psi'(lo) < eps <= psi'(hi); a step leaving it bisects. Until
-    the root is bracketed a step at most doubles t, and one past t = 1e5,
-    where a series costs about 2t terms, returns converged=False without
-    evaluating there. exponent is the largest t eps - psi(t) evaluated, at
-    least 0, and t_star the t that gave it.
+    the root is bracketed a step at most doubles t, and one past the cap
+    t = 1e5 returns converged=False without evaluating there. An evaluation
+    at the cap sums about 18 sqrt(t) terms of the 1F1 series. exponent is
+    the largest t eps - psi(t) evaluated, at least 0, and t_star the t that
+    gave it.
     """
     if side is TailSide.LOWER:
         return chernoff_exponent_numeric(params.swapped(), eps, TailSide.UPPER, cfg)
@@ -86,7 +87,7 @@ def chernoff_exponent_numeric(
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
     t0 = eps / (v + c * eps) if v + c * eps > 0 else eps / v
-    # t0 diverges as eps nears v/|c| when c < 0: a series of ~2 t0 terms past the cap
+    # t0 diverges as eps nears v/|c| when c < 0
     t = min(max(t0, 1e-3), _BRACKET_T_CAP)
     lo, hi = 0.0, math.inf
     best_f = best_t = 0.0

@@ -10,7 +10,8 @@ Subcommands:
 
 Shape parameters accept decimal literals (numeric path) or p/q rational
 literals (exact path). Exit codes: 0 success, 1 verification failure,
-2 argument error, 3 I/O failure, 4 internal soundness violation.
+2 argument error, 3 I/O failure, 4 internal soundness violation, 5 a series
+or solver that did not converge.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, chernoff, moments
-from .specfun import DEFAULT_CONFIG, EvalConfig
+from .specfun import DEFAULT_CONFIG, ConvergenceError, EvalConfig
 
 # slack for the generated-row sanity checks; a violation beyond this is a bug
 _ROW_SLACK = 1e-10
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"convergence failure: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

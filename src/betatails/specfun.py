@@ -1,7 +1,7 @@
 """Scalar special-function kernels.
 
 Everything here is self-contained double precision or exact rational
-arithmetic: log-gamma (Lanczos), the regularized incomplete beta function
+arithmetic: log-gamma, the regularized incomplete beta function
 (continued fraction), the confluent hypergeometric series 1F1 (plus a
 log-scaled variant that survives huge arguments), the terminating Gauss 2F1
 over exact rationals, and rising factorials.
@@ -55,37 +55,11 @@ def pochhammer(x, k: int):
     return result
 
 
-# Lanczos approximation, g = 7 with 9 coefficients. Relative accuracy of the
-# resulting gamma values is ~1e-15 on the positive axis, comfortably inside
-# the 1e-13 budget for log-gamma on [1e-3, 1e6].
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.9189385332046727417803297364056176
-
-
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
+    """Natural log of the gamma function for x > 0 (the C library's lgamma)."""
     if x <= 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # shift into the range where the fixed coefficients are accurate
-        return log_gamma(x + 1.0) - math.log(x)
-    y = x - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (y + 0.5) * math.log(t) - t + math.log(series)
+    return math.lgamma(x)
 
 
 def _beta_cont_frac(a: float, b: float, x: float, cfg: EvalConfig) -> float:

@@ -230,6 +230,12 @@ class TestSubgaussianProxy:
             2.046915856857e-4, rel=1e-6
         )
 
+    def test_root_past_a_fixed_bracket_limit(self):
+        # the root lies near t = 5.8e7, beyond a bracket capped at t = 1e7
+        p = BetaParams(1, 1e7)
+        proxy = subgaussian_optimal_proxy(p)
+        assert float(sub_gamma_params(p).v) <= proxy <= 1.0 / (4.0 * (1e7 + 2.0))
+
 
 # Shapes from mildly to extremely skewed, both orientations, tiny to large.
 ORACLE_SHAPES = [

@@ -17,6 +17,7 @@ from betatails.cli import (
     render_csv,
 )
 from betatails.moments import BetaParams
+from betatails.specfun import ConvergenceError
 
 
 class TestParseScalar:
@@ -194,6 +195,17 @@ class TestCompareCommand:
         rc = main(["compare", "--alpha", "2", "--beta", "98",
                    "--grid", "0:0.05:5", "--out", str(tmp_path / "x.csv")])
         assert rc == 4
+
+    def test_convergence_failure_exits_5(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("forced")
+
+        monkeypatch.setattr(bounds, "subgaussian_optimal_proxy", fail)
+        rc = main(["compare", "--alpha", "2", "--beta", "98",
+                   "--grid", "0:0.05:5", "--out", str(tmp_path / "x.csv")])
+        assert rc == 5
+        assert capsys.readouterr().err == "convergence failure: forced\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_tolerance_override_accepted(self, tmp_path):
         out = tmp_path / "tol.csv"

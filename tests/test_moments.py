@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from betatails.moments import (
     BetaParams,
     MAX_MOMENT_ORDER,
+    _cgf_kernel,
     central_moment_binomial_oracle,
     central_moment_hypergeom_oracle,
     central_moments_recursive,
@@ -17,6 +19,7 @@ from betatails.moments import (
     recursion_coefficients,
     standardized_moment,
 )
+from betatails.specfun import DEFAULT_CONFIG
 
 GRID = [
     (Fraction(1), Fraction(1)),
@@ -231,3 +234,48 @@ class TestStandardizedMoments:
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
             standardized_moment(BetaParams(2, 3), 1)
+
+
+# Hard Chernoff-sweep shapes, the paper's shape and two others. With each
+# shape, the tilts just below and just above the one where the largest term
+# of the 1F1 series reaches index 10, where the kernel switches from one
+# forward pass to the window around that term (the other shapes reach it
+# before the 1F1 branch starts at t^2 = 16 (alpha+beta+1)).
+KERNEL_SHAPES = {
+    (0.5, 0.7): (10.73, 10.75),
+    (0.6103, 381.2): (405.5, 406.4),
+    (791, 0.8636): (),
+    (475.4, 0.5178): (),
+    (444.7, 0.967): (),
+    (2, 98): (98.99, 99.19),
+    (300, 700): (),
+    (5, 5): (13.56, 13.58),
+}
+KERNEL_TILTS = (30, 100, 1e3, 1e4, 1e5, 2e5)
+
+
+def _mp_cgf(alpha, beta, t):
+    """psi(t), psi'(t), psi''(t) from mpmath's 1F1 at 50 digits.
+
+    With F = 1F1(alpha; s; t), F1 = F' and F2 = F'': psi = log F - t mu,
+    psi' = F1/F - mu and psi'' = F2/F - (F1/F)^2.
+    """
+    with mpmath.workdps(50):
+        a, b, t = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(t)
+        s = a + b
+        f = mpmath.hyp1f1(a, s, t)
+        f1 = a / s * mpmath.hyp1f1(a + 1, s + 1, t)
+        f2 = a * (a + 1) / (s * (s + 1)) * mpmath.hyp1f1(a + 2, s + 2, t)
+        return mpmath.log(f) - t * a / s, f1 / f - a / s, f2 / f - (f1 / f) ** 2
+
+
+class TestCgfKernelOracle:
+    @pytest.mark.parametrize("a,b", list(KERNEL_SHAPES))
+    def test_matches_mpmath_on_the_1f1_branch(self, a, b):
+        tilts = [t for t in KERNEL_TILTS + KERNEL_SHAPES[a, b] if t * t > 16 * (a + b + 1)]
+        for t in tilts:
+            psi, dpsi, d2psi, _ = _cgf_kernel(BetaParams(a, b), t, DEFAULT_CONFIG)
+            ref, dref, d2ref = _mp_cgf(a, b, t)
+            assert abs(psi - ref) <= 2e-15 * t
+            assert dpsi == pytest.approx(float(dref), rel=1e-12, abs=0.0)
+            assert d2psi == pytest.approx(float(d2ref), rel=1e-9, abs=0.0)
