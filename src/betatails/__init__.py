@@ -5,7 +5,6 @@ from .bounds import (
     TailSide,
     bernstein_tail_bound,
     exact_tail,
-    log_upper_bound,
     sub_gamma_bound,
     subgaussian_bound,
     subgaussian_optimal_proxy,
@@ -16,30 +15,19 @@ from .chernoff import (
     centered_mgf,
     cgf,
     chernoff_exponent_numeric,
-    derivative_ratio_check,
-    cumulant_upper_bound,
-    best_tilt,
     chernoff_exponent_expansion,
 )
 from .moments import (
     BetaParams,
     MomentTable,
-    central_moment_binomial_oracle,
-    central_moment_hypergeom_oracle,
     central_moments_recursive,
     raw_moment,
-    recursion_coefficients,
     standardized_moment,
 )
 from .specfun import (
     ConvergenceError,
     DEFAULT_CONFIG,
     EvalConfig,
-    gauss_2f1_terminating,
-    kummer_1f1,
-    log_gamma,
-    log_kummer_1f1,
-    pochhammer,
     regularized_incomplete_beta,
 )
 
@@ -56,28 +44,16 @@ __all__ = [
     "TailSide",
     "bernstein_tail_bound",
     "centered_mgf",
-    "central_moment_binomial_oracle",
-    "central_moment_hypergeom_oracle",
     "central_moments_recursive",
     "cgf",
     "chernoff_exponent_numeric",
-    "derivative_ratio_check",
-    "cumulant_upper_bound",
     "exact_tail",
-    "gauss_2f1_terminating",
-    "kummer_1f1",
-    "log_gamma",
-    "log_kummer_1f1",
-    "log_upper_bound",
-    "pochhammer",
     "raw_moment",
-    "recursion_coefficients",
     "regularized_incomplete_beta",
     "standardized_moment",
     "sub_gamma_bound",
     "subgaussian_bound",
     "subgaussian_optimal_proxy",
-    "best_tilt",
     "sub_gamma_params",
     "chernoff_exponent_expansion",
 ]

@@ -19,8 +19,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .moments import BetaParams, Scalar, _cgf_kernel
-from .specfun import ConvergenceError, DEFAULT_CONFIG, EvalConfig, regularized_incomplete_beta
+from .moments import BetaParams, Scalar
+from .specfun import (
+    ConvergenceError, DEFAULT_CONFIG, EvalConfig, _cgf_budget, _cgf_kernel,
+    regularized_incomplete_beta,
+)
 
 
 class TailSide(Enum):
@@ -145,11 +148,12 @@ def subgaussian_optimal_proxy(params: BetaParams, cfg: EvalConfig = DEFAULT_CONF
         return v
     if params.alpha > params.beta:
         params = params.swapped()
+    a, b = float(params.alpha), float(params.beta)
     best = v
 
     def residual(t: float) -> float:
         nonlocal best
-        psi, _, _, g = _cgf_kernel(params, t, cfg)
+        psi, _, _, g = _cgf_kernel(a, b, t, _cgf_budget(t, cfg))
         best = max(best, 2.0 * psi / (t * t))
         return g
 

@@ -3,7 +3,7 @@
 Write Z = X - E[X]. The moment generating function has the closed form
 phi(t) = exp(-t mu) 1F1(alpha; alpha+beta; t) and, equivalently, the
 everywhere-convergent series 1 + sum_{d>=2} m_d t^d over normalized central
-moments m_d = mu_d / d!. `moments._cgf_kernel` sums whichever serves at t
+moments m_d = mu_d / d!. `specfun._cgf_kernel` sums whichever serves at t
 into psi = log phi and its derivatives; the series with a certified
 remainder from |mu_d| <= 1 backs the derivative-ratio inequality checks.
 
@@ -19,8 +19,11 @@ import math
 from dataclasses import dataclass
 
 from .bounds import SubGammaParams, TailSide, sub_gamma_params
-from .moments import BetaParams, _centered_series, _cgf_kernel, _series_length
-from .specfun import DEFAULT_CONFIG, EvalConfig, log_gamma
+from .moments import BetaParams
+from .specfun import (
+    DEFAULT_CONFIG, EvalConfig, _centered_series, _cgf_budget, _cgf_kernel, _series_length,
+    log_gamma,
+)
 
 # Slack applied when certifying the derivative-ratio inequality; matches the
 # tolerance the verification suite runs at.
@@ -54,9 +57,10 @@ def cgf(params: BetaParams, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float
     """
     if t == 0.0:
         return 0.0
+    a, b = float(params.alpha), float(params.beta)
     if t < 0.0:
-        return _cgf_kernel(params.swapped(), -t, cfg)[0]
-    return _cgf_kernel(params, t, cfg)[0]
+        a, b, t = b, a, -t
+    return _cgf_kernel(a, b, t, _cgf_budget(t, cfg))[0]
 
 
 def chernoff_exponent_numeric(
@@ -92,7 +96,7 @@ def chernoff_exponent_numeric(
     lo, hi = 0.0, math.inf
     best_f = best_t = 0.0
     for _ in range(_SOLVE_STEPS):
-        psi, slope, curvature, _ = _cgf_kernel(params, t, cfg)
+        psi, slope, curvature, _ = _cgf_kernel(a, b, t, _cgf_budget(t, cfg))
         f = t * eps - psi
         if f > best_f:
             best_f, best_t = f, t
@@ -171,7 +175,7 @@ def derivative_ratio_check(params: BetaParams, t: float) -> bool:
     else:
         rhs = v * t
     terms = _series_length(t)
-    sigma, excess, _ = _centered_series(params, t, terms)
+    sigma, excess, _ = _centered_series(float(params.alpha), float(params.beta), t, terms)
     dphi = (2.0 * sigma + excess) / t
     rem_phi, rem_dphi = _series_remainders(t, terms)
     phi_low = 1.0 + sigma - rem_phi

@@ -169,13 +169,6 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec(start=float(parts[0]), stop=float(parts[1]), steps=int(parts[2]))
 
 
-def _config(args) -> EvalConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return DEFAULT_CONFIG
-    return EvalConfig(rel_tol=tol, max_iter=DEFAULT_CONFIG.max_iter)
-
-
 def cmd_moments(args) -> int:
     params = _parse_params(args)
     if args.dmax < 0:
@@ -212,7 +205,7 @@ def cmd_bound(args) -> int:
 def cmd_compare(args) -> int:
     params = _parse_params(args)
     grid = _parse_grid(args.grid)
-    cfg = _config(args)
+    cfg = DEFAULT_CONFIG if args.tol is None else EvalConfig(rel_tol=args.tol)
     try:
         rows = comparison_rows(params, grid, cfg, log_spacing=args.log_grid)
     except SoundnessError as exc:
@@ -256,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--beta", required=True)
     p_bound.add_argument("--eps", type=float, required=True, help="deviation from the mean")
     p_bound.add_argument("--side", choices=["upper", "lower"], required=True)
-    p_bound.add_argument("--tol", type=float, default=None, help="override relative tolerance")
     p_bound.set_defaults(func=cmd_bound)
 
     p_compare = sub.add_parser("compare", help="write a bound-comparison CSV")

@@ -2,9 +2,10 @@
 
 Everything here is self-contained double precision or exact rational
 arithmetic: log-gamma, the regularized incomplete beta function
-(continued fraction), the confluent hypergeometric series 1F1 (plus a
-log-scaled variant that survives huge arguments), the terminating Gauss 2F1
-over exact rationals, and rising factorials.
+(continued fraction), the confluent hypergeometric 1F1 and its logarithm,
+the terminating Gauss 2F1 over exact rationals, and rising factorials.
+One kernel sums the 1F1 series, as the CGF of a centered Beta variable and
+its derivatives; the 1F1 functions shift it back by t a / c.
 
 All kernels are deterministic and hold no shared state.
 """
@@ -24,9 +25,11 @@ class ConvergenceError(RuntimeError):
 class EvalConfig:
     """Convergence policy for the iterative kernels.
 
-    rel_tol is a relative stopping tolerance, max_iter caps series and
-    continued-fraction length. Defaults are two orders tighter than any
-    tolerance asserted downstream.
+    rel_tol stops the incomplete beta's continued fraction and max_iter caps
+    its iterations. max_iter also caps the 1F1 terms that kummer_1f1 and
+    log_kummer_1f1 sum; cgf, the Chernoff solve and the sub-gaussian proxy
+    allow max(max_iter, 4 t + 2000) terms at tilt t. The default rel_tol is
+    two orders tighter than any tolerance asserted downstream.
     """
 
     rel_tol: float = 1e-12
@@ -141,79 +144,260 @@ def _ibeta_direct(a: float, b: float, x: float, cfg: EvalConfig) -> float:
     return math.exp(log_prefactor) * _beta_cont_frac(a, b, x, cfg) / a
 
 
-def kummer_1f1(a: float, c: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Confluent hypergeometric 1F1(a; c; t) by direct series summation.
+def _centered_series(a: float, b: float, t: float, terms: int) -> tuple[float, float, float]:
+    """Truncated series for phi(t) - 1, t phi'(t) - 2 (phi(t) - 1) and t^2 phi''(t).
 
-    For t < 0 (and c > a) the Kummer transform 1F1(a;c;t) = e^t 1F1(c-a;c;-t)
-    keeps every term positive, avoiding the catastrophic cancellation of the
-    alternating series. Supported range is |t| <= 700 with 0 < a <= c, where
-    the sum stays below double-precision overflow; use log_kummer_1f1 beyond.
+    phi is the centered MGF of Beta(a, b). Works termwise on M_d = m_d t^d,
+    which the order-2 recurrence for the normalized central moments m_d
+    produces without under- or overflow even when m_d alone would underflow:
+
+        d (s+d-1) M_d = ((d-1)(b-a)/s) t M_{d-1} + (a b / s^2) t^2 M_{d-2}
+
+    phi - 1 = sum_{d>=2} M_d keeps full relative precision near t = 0, and
+    sum_{d>=3} (d-2) M_d keeps it where t phi' and 2 (phi - 1) agree to O(t^2);
+    t^2 phi'' = sum_{d>=2} d (d-1) M_d.
     """
-    if c <= 0.0:
-        raise ValueError(f"lower parameter must be positive, got c={c}")
-    if c == a:
-        return math.exp(t)
-    if t < 0.0 and c - a > 0.0:
-        return math.exp(t) * kummer_1f1(c - a, c, -t, cfg)
-    term = 1.0
-    total = 1.0
-    comp = 0.0  # Kahan compensation keeps long sums from accruing N*eps error
-    for k in range(cfg.max_iter):
-        term *= (a + k) * t / ((c + k) * (k + 1.0))
-        y = term - comp
-        new_total = total + y
-        comp = (new_total - total) - y
-        total = new_total
-        ratio = abs((a + k + 1) * t) / ((c + k + 1) * (k + 2.0))
-        # geometric tail bound: once ratios shrink, the rest is < term*r/(1-r)
-        if ratio < 1.0 and abs(term) * ratio <= cfg.rel_tol * abs(total) * (1.0 - ratio):
-            return total
-    raise ConvergenceError(
-        f"1F1 series did not converge for a={a}, c={c}, t={t} within {cfg.max_iter} terms"
+    s = a + b
+    coeff1 = (b - a) / s * t
+    coeff2 = a * b / (s * s) * t * t
+    m_prev2, m_prev1 = 1.0, 0.0
+    sigma = excess = curvature = 0.0
+    for d in range(2, terms + 1):
+        m_d = ((d - 1) * coeff1 * m_prev1 + coeff2 * m_prev2) / (d * (s + d - 1.0))
+        sigma += m_d
+        excess += (d - 2) * m_d
+        curvature += d * (d - 1) * m_d
+        m_prev2, m_prev1 = m_prev1, m_d
+    return sigma, excess, curvature
+
+
+def _series_length(t: float) -> int:
+    # e*|t| terms reach the decay regime; the margin drives the remainder to ~0
+    return max(40, int(2.8 * abs(t)) + 60)
+
+
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+# 1F1 series whose largest term comes before this index are summed from k = 0
+_WINDOW_PEAK = 10
+
+
+def _stirling_remainder(x: float) -> float:
+    """omega(x) = log Gamma(x) - (x - 1/2) log x + x - log sqrt(2 pi) for x > 0.
+
+    For x >= 10 the Stirling series sum_n B_2n / (2n (2n-1) x^(2n-1)) to
+    n = 7, whose first term left out is below 3e-17 (as `bcorr` in TOMS 708,
+    DiDonato and Morris, ACM TOMS 18(3), 1992); below, log_gamma less the
+    leading terms.
+    """
+    if x < 10.0:
+        return log_gamma(x) - (x - 0.5) * math.log(x) + x - _HALF_LOG_TWO_PI
+    w = 1.0 / (x * x)
+    return (
+        1 / 12 + w * (-1 / 360 + w * (1 / 1260 + w * (-1 / 1680 + w * (
+            1 / 1188 + w * (-691 / 360360 + w / 156)))))
+    ) / x
+
+
+def _log_peak_less_mean(a: float, b: float, t: float, k0: int) -> float:
+    """log term_k0 - t a / s for term_k = (a)_k t^k / ((s)_k k!), s = a + b.
+
+    Stirling differences in log1p form, as `algdiv` in TOMS 708, with
+    A = a + k0, S = s + k0 and A s / (a S) = 1 + k0 b / (a S):
+
+        log (a)_k0 / (s)_k0 = (a - 1/2) log(A s / (a S)) + k0 log(A/S)
+            - b log(S/s) + omega(A) - omega(a) - omega(S) + omega(s)
+        k0 log t - log k0! = -(k0 + 1/2) log((k0+1)/t) + k0 + 1
+            - log sqrt(2 pi t) - omega(k0 + 1)
+
+    Every piece is at most of the order of t or b log(S/s), so the result
+    is within a few roundings of t, where a difference of log-gammas of
+    size (s + k0) log(s + k0) would not be.
+    """
+    s = a + b
+    big_a, big_s = a + k0, s + k0
+    return (
+        (a - 0.5) * math.log1p(k0 * b / (a * big_s))
+        + k0 * math.log1p(-b / big_s)
+        - b * math.log1p(k0 / s)
+        + _stirling_remainder(big_a)
+        - _stirling_remainder(a)
+        - _stirling_remainder(big_s)
+        + _stirling_remainder(s)
+        - (k0 + 0.5) * math.log1p((k0 + 1.0 - t) / t)
+        + (k0 + 1.0 - t)
+        + t * b / s  # k0 + 1 - t a / s, without the cancellation
+        - 0.5 * math.log(2.0 * math.pi * t)
+        - _stirling_remainder(k0 + 1.0)
     )
 
 
-_LOG_RESCALE = math.log(1e280)
+def _cgf_budget(t: float, cfg: EvalConfig) -> int:
+    # cgf, the Chernoff solve and the sub-gaussian proxy leave the window room at large t
+    return max(cfg.max_iter, int(4 * t) + 2000)
+
+
+def _cgf_kernel(
+    a: float, b: float, t: float, max_terms: int
+) -> tuple[float, float, float, float]:
+    """psi(t), psi'(t), psi''(t) and g(t) = t psi'(t) - 2 psi(t) for t > 0.
+
+    psi is the CGF of X - E[X] for X ~ Beta(a, b), so log 1F1(a; a+b; t) =
+    psi(t) + t a / (a+b). While t^2 <= 16 (s+1), s = a + b, where psi <= 2
+    (Elder), the centered series serves: -t mu + log 1F1 would cancel
+    there, and with phi = 1 + sigma and e = t phi' - 2 sigma, g = e / phi +
+    2 (sigma / phi - log1p(sigma)) stays exact as t psi' and 2 psi merge.
+
+    Beyond, the positive series 1F1(a; s; t) = sum_k term_k gives
+    log 1F1, t F'/F = E[k] and t^2 psi'' = Var[k] - E[k] under the weights
+    term_k. term_k >= term_{k-1} exactly while k^2 + (s-1-t) k - (a-1) t
+    <= 0, so the largest term is term_k0 with k0 the floor of the larger
+    root. Below k0 = 10 one forward pass sums from k = 0. From there on the
+    sum runs outward from term_k0 = 1, each side until its geometric tail
+    bound is below 1e-17 of the total, about 18 sqrt(k0) terms (Pearson,
+    Olver and Porter, Numer. Algorithms 74, 2017). Moments are taken about
+    k0, so Var[k] does not cancel on E[k^2] - E[k]^2, and log term_k0 is
+    added back once. The forward pass and the sum above the peak stop with
+    ConvergenceError past max_terms terms.
+
+    Tolerance, measured against mpmath's 1F1 at 50 digits on 3,000 random
+    points (shapes 1e-3 to 1e4, t from 1e-2 to 3e4): psi is within 4e-16 t.
+    psi' is within 5e-13 relative while the larger shape is less than 1e3
+    times the smaller. Its error grows with that ratio, to 6e-12 below 1e4,
+    6e-11 below 1e5 and 2e-9 beyond, as psi' becomes a small difference of
+    larger parts, such as t psi' = (k0 - t) + t b / s + E[k - k0] when b is
+    tiny: Beta(2041.7, 0.0016) at t = 209 reads 2.2e-9. psi'' is within
+    6e-10 relative while both shapes are at least 0.1, and 6e-8 otherwise.
+    """
+    s = a + b
+    if t * t <= 16.0 * (s + 1.0):
+        sigma, excess, curvature = _centered_series(a, b, t, _series_length(t))
+        phi = 1.0 + sigma
+        psi = math.log1p(sigma)
+        t_dpsi = (2.0 * sigma + excess) / phi
+        g = excess / phi + 2.0 * (sigma / phi - psi)
+        return psi, t_dpsi / t, (curvature / phi - t_dpsi * t_dpsi) / (t * t), g
+    p = t + 1.0 - s
+    disc = p * p + 4.0 * (a - 1.0) * t
+    if disc < 0.0:
+        root = 0.0
+    elif p >= 0.0:  # the larger root, without cancellation
+        root = 0.5 * (p + math.sqrt(disc))
+    else:
+        root = 2.0 * (a - 1.0) * t / (math.sqrt(disc) - p)
+    k0 = max(0, math.floor(root))
+    if k0 < _WINDOW_PEAK:  # then t < (10 s + 90) / (a + 9): terms stay below 1e15
+        term, total, first, second = 1.0, 1.0, 0.0, 0.0
+        ratio = a * t / s  # term_{k+1} / term_k at k = 0
+        for k in range(1, max_terms):
+            term *= ratio
+            total += term
+            first += k * term
+            second += k * k * term
+            ratio = (a + k) * t / ((s + k) * (k + 1.0))
+            if ratio < 1.0 and term * ratio <= 1e-16 * total * (1.0 - ratio):
+                psi = math.log(total) - t * a / s
+                mean = first / total  # t F' / F
+                t_dpsi = mean - t * a / s
+                t2_d2psi = second / total - mean - mean * mean
+                return psi, t_dpsi / t, t2_d2psi / (t * t), t_dpsi - 2.0 * psi
+        raise ConvergenceError(
+            f"1F1 series for the Beta({a}, {b}) CGF did not converge at t={t} "
+            f"in {max_terms} terms"
+        )
+    log_peak_less_mean = _log_peak_less_mean(a, b, t, k0)
+    # sums of term_k, j term_k and j^2 term_k with j = k - k0 and term_k0 = 1;
+    # total and second carry their rounding errors (Kahan), because
+    # t^2 psi'' = Var[k] - E[k] can cancel to a small fraction of E[k]
+    total, first, second, total_err, second_err = 1.0, 0.0, 0.0, 0.0, 0.0
+    term, k, j = 1.0, float(k0), 0.0
+    for _ in range(max_terms):  # above k0 the ratios are below 1 and falling
+        ratio = (a + k) * t / ((s + k) * (k + 1.0))
+        if term * ratio <= 1e-17 * total * (1.0 - ratio):
+            break
+        term *= ratio
+        k += 1.0
+        j += 1.0
+        moment = j * term
+        first += moment
+        summed = total + term
+        total_err += term - (summed - total)
+        total = summed
+        moment *= j
+        summed = second + moment
+        second_err += moment - (summed - second)
+        second = summed
+    else:
+        raise ConvergenceError(
+            f"1F1 series for the Beta({a}, {b}) CGF did not converge at t={t} "
+            f"in {max_terms} terms above its peak k0={k0}"
+        )
+    # log term_{i+1} / term_i is concave in i, so below k every ratio
+    # term_{i-1} / term_i is at most the larger of the current one and
+    # s / (a t), and the terms fall, then may rise again toward term_0:
+    # their sum is at most k max(term_{k-1}, term_0)
+    ratio_cap = s / (a * t)
+    head = math.exp(-(log_peak_less_mean + t * a / s))  # term_0 / term_k0
+    term, k, j = 1.0, float(k0), 0.0
+    while k > 0.0:
+        ratio = k * (s + k - 1.0) / ((a + k - 1.0) * t)  # term_{k-1} / term_k
+        bound = ratio if ratio > ratio_cap else ratio_cap
+        if bound < 1.0:
+            if term * bound <= 1e-17 * total * (1.0 - bound):
+                break
+        elif k * max(term * ratio, head) <= 1e-17 * total:
+            break
+        term *= ratio
+        k -= 1.0
+        j -= 1.0
+        moment = j * term
+        first += moment
+        summed = total + term
+        total_err += term - (summed - total)
+        total = summed
+        moment *= j
+        summed = second + moment
+        second_err += moment - (summed - second)
+        second = summed
+    total += total_err
+    second += second_err
+    psi = math.log(total) + log_peak_less_mean
+    offset = first / total  # E[k] - k0
+    t_dpsi = (k0 - t) + t * b / s + offset
+    t2_d2psi = second / total - offset * offset - (k0 + offset)
+    return psi, t_dpsi / t, t2_d2psi / (t * t), t_dpsi - 2.0 * psi
 
 
 def log_kummer_1f1(
     a: float, c: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> float:
-    """log(1F1(a; c; t)) for a, c > 0, stable for arguments far beyond overflow.
+    """log(1F1(a; c; t)) for 0 < a <= c, stable far beyond double overflow.
 
-    The positive-term series is accumulated with periodic rescaling, so t in
-    the tens of thousands is fine as long as max_iter covers roughly 2t terms.
-    Negative t routes through the Kummer transform.
+    exp(-t a / c) 1F1(a; c; t) is the MGF of X - E[X] for X ~ Beta(a, c - a),
+    so this is psi(t) + t a / c with psi that CGF, read for t < 0 as the CGF
+    of 1 - X at -t (the Kummer transform). cfg.max_iter caps the terms summed
+    from the series' largest term upward; past it ConvergenceError is raised.
+    Any other a or c, or a non-finite t, raises ValueError.
     """
-    if c <= 0.0 or a <= 0.0:
-        raise ValueError(f"parameters must be positive, got a={a}, c={c}")
+    if not (0.0 < a <= c < math.inf and math.isfinite(t)):
+        raise ValueError(f"1F1 needs 0 < a <= c and finite a, c, t, got a={a}, c={c}, t={t}")
     if c == a:
         return t
+    if t == 0.0:
+        return 0.0
     if t < 0.0:
-        if c - a <= 0.0:
-            raise ValueError("Kummer transform needs c > a for negative t")
-        return t + log_kummer_1f1(c - a, c, -t, cfg)
-    shift = 0.0
-    term = 1.0
-    total = 1.0
-    comp = 0.0
-    for k in range(cfg.max_iter):
-        term *= (a + k) * t / ((c + k) * (k + 1.0))
-        y = term - comp
-        new_total = total + y
-        comp = (new_total - total) - y
-        total = new_total
-        if total > 1e280:
-            total *= 1e-280
-            term *= 1e-280
-            comp *= 1e-280
-            shift += _LOG_RESCALE
-        ratio = (a + k + 1) * t / ((c + k + 1) * (k + 2.0))
-        if ratio < 1.0 and term * ratio <= cfg.rel_tol * total * (1.0 - ratio):
-            return math.log(total) + shift
-    raise ConvergenceError(
-        f"log-1F1 series did not converge for a={a}, c={c}, t={t} within {cfg.max_iter} terms"
-    )
+        psi = _cgf_kernel(c - a, a, -t, cfg.max_iter)[0]
+    else:
+        psi = _cgf_kernel(a, c - a, t, cfg.max_iter)[0]
+    return psi + t * a / c
+
+
+def kummer_1f1(a: float, c: float, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+    """Confluent hypergeometric 1F1(a; c; t), the exponential of log_kummer_1f1.
+
+    Same contract as log_kummer_1f1; OverflowError once the value passes
+    the largest double.
+    """
+    return math.exp(log_kummer_1f1(a, c, t, cfg))
 
 
 def gauss_2f1_terminating(a, d: int, c, z) -> Fraction:

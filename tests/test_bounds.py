@@ -231,7 +231,8 @@ class TestSubgaussianProxy:
         )
 
     def test_root_past_a_fixed_bracket_limit(self):
-        # the root lies near t = 5.8e7, beyond a bracket capped at t = 1e7
+        # the root lies near t = 5.8e7, where the window sums about 65,000
+        # terms above the series' peak: more than max_iter = 10,000
         p = BetaParams(1, 1e7)
         proxy = subgaussian_optimal_proxy(p)
         assert float(sub_gamma_params(p).v) <= proxy <= 1.0 / (4.0 * (1e7 + 2.0))

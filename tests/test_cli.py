@@ -114,6 +114,14 @@ class TestBoundCommand:
                      "--side", "lower"]) == 0
         assert "bound = " in capsys.readouterr().out
 
+    def test_tolerance_flag_is_an_argument_error(self, capsys):
+        # the bound is closed-form: no tolerance to override
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--alpha", "2", "--beta", "98", "--eps", "0.02",
+                  "--side", "upper", "--tol", "1e-10"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_writes_expected_header_and_shape(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Unit and property tests for the special-function kernels."""
 
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +163,45 @@ class TestKummer1F1:
     def test_rejects_bad_lower_parameter(self):
         with pytest.raises(ValueError):
             kummer_1f1(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("func", [kummer_1f1, log_kummer_1f1])
+    @pytest.mark.parametrize(
+        "a,c,t",
+        [
+            (3.0, 2.0, 1.0),  # a > c
+            (0.0, 2.0, 1.0),
+            (-1.0, 2.0, 1.0),
+            (1.0, math.inf, 1.0),
+            (math.nan, 2.0, 1.0),
+            (1.0, math.nan, 1.0),
+            (1.0, 2.0, math.nan),
+            (1.0, 2.0, math.inf),
+            (1.0, 2.0, -math.inf),
+        ],
+    )
+    def test_rejects_parameters_outside_the_beta_range(self, func, a, c, t):
+        # the kernel sums 1F1(a; c; t) as the MGF of Beta(a, c - a): 0 < a <= c
+        with pytest.raises(ValueError):
+            func(a, c, t)
+
+    def test_matches_mpmath_on_random_points(self):
+        # a from 1e-2 to 316, c - a from 1e-2 to 1e3; log 1F1 for |t| <= 700,
+        # 1F1 itself for |t| <= 20, against hyp1f1 at 50 digits
+        rng = random.Random(20261018)
+
+        def draw(t_max):
+            a = 10 ** rng.uniform(-2.0, 2.5)
+            return a, a + 10 ** rng.uniform(-2.0, 3.0), rng.uniform(-t_max, t_max)
+
+        with mpmath.workdps(50):
+            for _ in range(400):
+                a, c, t = draw(700.0)
+                ref = float(mpmath.log(mpmath.hyp1f1(a, c, t)))
+                assert abs(log_kummer_1f1(a, c, t) - ref) <= 1e-15 * max(1.0, abs(t)), (a, c, t)
+            for _ in range(400):
+                a, c, t = draw(20.0)
+                ref = float(mpmath.hyp1f1(a, c, t))
+                assert kummer_1f1(a, c, t) == pytest.approx(ref, rel=1e-14, abs=0.0), (a, c, t)
 
     def test_iteration_cap_is_loud(self):
         with pytest.raises(ConvergenceError):
