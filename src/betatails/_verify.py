@@ -1,9 +1,15 @@
 """Self-contained invariant suite behind the ``verify`` CLI command.
 
+This registry is the one statement of the package's invariants:
+``tests/test_acceptance.py`` runs the matching ``CHECKS`` entries at level
+``full`` instead of restating them, so a grid, seed or tolerance is changed
+here or nowhere.
+
 Every check is a pure function returning None on success or a short failure
-description. The quick level trims grids to run in a few seconds; the full
-level runs the complete grids. All randomness is seeded, so two runs of the
-same level always perform identical work.
+description; an exception it raises is reported as a failure of that check.
+The quick level trims grids to run in a few seconds; the full level runs the
+complete grids. All randomness is seeded, so two runs of the same level
+always perform identical work.
 """
 
 from __future__ import annotations
@@ -43,6 +49,16 @@ def _logspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo * math.exp(r * i / (n - 1)) for i in range(n)]
 
 
+def _random_shapes(level: str) -> list[tuple[Fraction, Fraction]]:
+    """Seeded rational shapes (alpha, beta), each p/q with p in 1..40 and q in 1..8."""
+    rng = random.Random(_SEED)
+
+    def draw() -> Fraction:
+        return Fraction(rng.randint(1, 40), rng.randint(1, 8))
+
+    return [(draw(), draw()) for _ in range(50 if level == "full" else 10)]
+
+
 def check_oracle_equivalence(level: str) -> str | None:
     """Recursive moments equal both independent oracles, rationally."""
     dmax = 20 if level == "full" else 8
@@ -64,11 +80,7 @@ def check_oracle_equivalence(level: str) -> str | None:
 
 def check_sign_odd_moments(level: str) -> str | None:
     """Odd central moments share the sign of beta - alpha."""
-    rng = random.Random(_SEED)
-    n = 50 if level == "full" else 10
-    for _ in range(n):
-        a = Fraction(rng.randint(1, 40), rng.randint(1, 8))
-        b = Fraction(rng.randint(1, 40), rng.randint(1, 8))
+    for a, b in _random_shapes(level):
         params = moments.BetaParams(a, b)
         table = moments.central_moments_recursive(params, 19)
         expected = (b > a) - (b < a)
@@ -82,7 +94,7 @@ def check_sign_odd_moments(level: str) -> str | None:
 
 def check_even_moments_nonnegative(level: str) -> str | None:
     dmax = 20 if level == "full" else 10
-    for a, b in _MOMENT_PAIRS:
+    for a, b in _MOMENT_PAIRS + _random_shapes(level):
         table = moments.central_moments_recursive(moments.BetaParams(a, b), dmax)
         for d in range(0, dmax + 1, 2):
             if table.central[d] < 0:
@@ -103,7 +115,7 @@ def check_moment_boundedness(level: str) -> str | None:
 
 def check_scaled_recursion(level: str) -> str | None:
     """d (s+d-1) m_d = ((d-1)(b-a)/s) m_{d-1} + (a b / s^2) m_{d-2}, exactly."""
-    for a, b in _MOMENT_PAIRS:
+    for a, b in _MOMENT_PAIRS + _random_shapes(level):
         params = moments.BetaParams(a, b)
         s = params.total
         table = moments.central_moments_recursive(params, 20)
@@ -274,15 +286,27 @@ def check_bound_monotonicity(level: str) -> str | None:
 def check_log_refinement(level: str) -> str | None:
     """x - x^2/(2(1+x/3)) lies strictly below log(1+x) for x > 0, equal at 0.
 
-    This is the direction the quadratic refinement actually satisfies (its gap
-    to log(1+x) has non-negative derivative and vanishes at the origin), and
-    the one a sign error in the formula would break.
+    The refinement is an upper-direction bound on x - log(1+x): the gap
+    g(x) = log(1+x) - (x - x^2/(2(1+x/3))) has g(0) = 0 and
+    g'(x) = x^2 (x+9) / (2 (x+1) (x+3)^2) >= 0, so g > 0 for every x > 0 and
+    x - log(1+x) <= x^2/(2(1+x/3)). The reverse orientation
+    log(1+x) <= x - x^2/(2(1+x/3)) is therefore impossible away from the
+    origin (at x = 3 the two sides are 1.386... and 0.75).
+
+    Besides the sign, the check pins the formula through its second-order
+    contact at the origin: g(x) = x^3/6 + O(x^4), so g(x) / (x^3/6) tends
+    to 1. Dropping the 1/3 in the denominator makes the sign fail; dropping
+    the whole denominator doubles the contact ratio.
     """
     if bounds.log_upper_bound(0.0) != 0.0:
         return "refinement must vanish at x = 0"
     if abs(bounds.log_upper_bound(3.0) - 0.75) > 1e-15:
         return f"refinement at x=3 is {bounds.log_upper_bound(3.0)}, expected 0.75"
-    rng = random.Random(_SEED + 3)
+    for x in (1e-4, 1e-3):
+        ratio = (math.log1p(x) - bounds.log_upper_bound(x)) / (x**3 / 6.0)
+        if abs(ratio - 1.0) > 1e-2:
+            return f"(log(1+x) - refinement) / (x^3/6) = {ratio} at x={x}, expected 1"
+    rng = random.Random(_SEED)
     n = 1_000_000 if level == "full" else 20_000
     for _ in range(n):
         x = rng.uniform(0.0, 100.0)
@@ -307,32 +331,23 @@ def check_subgaussian_proxy(level: str) -> str | None:
 
 
 def check_comparison_ordering(level: str) -> str | None:
-    """exact <= bernstein <= subgaussian with a strict middle at interior points."""
-    cases = [
-        ((Fraction(2), Fraction(98)), 0.05),
-        ((Fraction(2), Fraction(998)), 0.005),
-    ]
-    if level != "full":
-        cases = cases[:1]
+    """exact < bernstein < subgaussian strictly at interior grid points.
+
+    comparison_rows itself raises SoundnessError unless exact <= chernoff <=
+    bernstein and exact <= subgaussian hold on every row.
+    """
+    cases = [(Fraction(2), Fraction(98), 0.05), (Fraction(2), Fraction(998), 0.005)]
     steps = 100 if level == "full" else 16
-    for (a, b), stop in cases:
+    for a, b, stop in cases if level == "full" else cases[:1]:
         params = moments.BetaParams(a, b)
         rows = comparison_rows(params, GridSpec(0.0, stop, steps))
-        for i, row in enumerate(rows):
-            if row.exact > row.chernoff + 1e-10 or row.chernoff > row.bernstein + 1e-10:
+        for row in rows[1:-1]:
+            if not row.exact < row.bernstein < row.subgaussian:
                 return (
-                    f"Beta({a},{b}) eps={row.epsilon}: exact={row.exact}, "
-                    f"chernoff={row.chernoff}, bernstein={row.bernstein}"
+                    f"Beta({a},{b}) eps={row.epsilon}: ordering exact < bernstein "
+                    f"< subgaussian violated ({row.exact}, {row.bernstein}, "
+                    f"{row.subgaussian})"
                 )
-            if row.exact > row.subgaussian + 1e-10:
-                return f"Beta({a},{b}) eps={row.epsilon}: exact above subgaussian"
-            if 0 < i < len(rows) - 1:
-                if not row.exact < row.bernstein < row.subgaussian:
-                    return (
-                        f"Beta({a},{b}) eps={row.epsilon}: ordering exact < bernstein "
-                        f"< subgaussian violated ({row.exact}, {row.bernstein}, "
-                        f"{row.subgaussian})"
-                    )
     return None
 
 
@@ -371,35 +386,31 @@ def check_cgf_convexity(level: str) -> str | None:
     return None
 
 
-def _inequality_t_grid(a: int, b: int, n: int) -> list[float]:
-    sg = bounds.sub_gamma_params(moments.BetaParams(Fraction(a), Fraction(b)))
-    c = float(sg.c)
-    hi = 0.95 / c if c > 0 else 20.0
-    return _logspace(1e-3, hi, n)
-
-
-def check_derivative_ratio(level: str) -> str | None:
-    n = 50 if level == "full" else 10
-    pairs = _INEQUALITY_PAIRS if level == "full" else [(2, 98), (5, 5), (98, 2)]
-    for a, b in pairs:
-        params = moments.BetaParams(Fraction(a), Fraction(b))
-        for t in _inequality_t_grid(a, b, n):
-            if not chernoff.derivative_ratio_check(params, t):
-                return f"Beta({a},{b}) t={t}: phi'/phi exceeds its bound"
-    return None
-
-
-def check_cumulant_upper_bound(level: str) -> str | None:
+def _inequality_points(level: str):
+    """(a, b, params, sg, t) at log-spaced tilts from 1e-3 to 0.95/c, or to 20 if c <= 0."""
     n = 50 if level == "full" else 10
     pairs = _INEQUALITY_PAIRS if level == "full" else [(2, 98), (5, 5), (98, 2)]
     for a, b in pairs:
         params = moments.BetaParams(Fraction(a), Fraction(b))
         sg = bounds.sub_gamma_params(params)
-        for t in _inequality_t_grid(a, b, n):
-            psi = chernoff.cgf(params, t)
-            cap = chernoff.cumulant_upper_bound(sg, t)
-            if psi > cap + 1e-10:
-                return f"Beta({a},{b}) t={t}: psi={psi} above cumulant bound {cap}"
+        c = float(sg.c)
+        for t in _logspace(1e-3, 0.95 / c if c > 0 else 20.0, n):
+            yield a, b, params, sg, t
+
+
+def check_derivative_ratio(level: str) -> str | None:
+    for a, b, params, _, t in _inequality_points(level):
+        if not chernoff.derivative_ratio_check(params, t):
+            return f"Beta({a},{b}) t={t}: phi'/phi exceeds its bound"
+    return None
+
+
+def check_cumulant_upper_bound(level: str) -> str | None:
+    for a, b, params, sg, t in _inequality_points(level):
+        psi = chernoff.cgf(params, t)
+        cap = chernoff.cumulant_upper_bound(sg, t)
+        if psi > cap + 1e-10:
+            return f"Beta({a},{b}) t={t}: psi={psi} above cumulant bound {cap}"
     return None
 
 
@@ -424,14 +435,19 @@ def check_exponent_dominates_bound(level: str) -> str | None:
 
 
 def check_tilt_identity(level: str) -> str | None:
-    """eps*best_tilt - cumulant_upper_bound(best_tilt) equals (v/c^2)(x - log(1+x)) at x = c eps / v."""
-    for a, b in [(2, 98), (2, 998), (2, 3)]:
+    """eps*best_tilt - cumulant_upper_bound(best_tilt) equals (v/c^2)(x - log(1+x)) at x = c eps / v.
+
+    The tilt also stays inside the cap's domain, best_tilt < 1/c.
+    """
+    for a, b in [(2, 98), (2, 998), (2, 3), (1, 2)]:
         params = moments.BetaParams(Fraction(a), Fraction(b))
         sg = bounds.sub_gamma_params(params)
         v, c = float(sg.v), float(sg.c)
         mu = float(params.mean())
-        for eps in _logspace(1e-4 * (1 - mu), 0.5 * (1 - mu), 9):
+        for eps in _logspace(1e-4 * (1 - mu), 0.5 * (1 - mu), 12):
             tb = chernoff.best_tilt(sg, eps)
+            if not tb < 1.0 / c:
+                return f"Beta({a},{b}) eps={eps}: best tilt {tb} not below 1/c = {1.0 / c}"
             lhs = eps * tb - chernoff.cumulant_upper_bound(sg, tb)
             x = c * eps / v
             rhs = v / (c * c) * (x - math.log1p(x))
@@ -441,13 +457,15 @@ def check_tilt_identity(level: str) -> str | None:
 
 
 def check_exponent_expansion(level: str) -> str | None:
-    """|psi* - (eps^2/2v - c eps^3/6v^2)| / eps^4 stays within a factor of 4."""
+    """|psi* - (eps^2/2v - c eps^3/6v^2)| / eps^4 stays within 4x, and every solve converges."""
     pairs = [(2, 5), (2, 98), (3, 3)] if level == "full" else [(2, 5)]
     for a, b in pairs:
         params = moments.BetaParams(Fraction(a), Fraction(b))
         ratios = []
         for eps in (0.02, 0.01, 0.005, 0.0025):
             res = chernoff.chernoff_exponent_numeric(params, eps, bounds.TailSide.UPPER)
+            if not res.converged:
+                return f"Beta({a},{b}) eps={eps}: Chernoff optimizer did not converge"
             resid = abs(res.exponent - chernoff.chernoff_exponent_expansion(params, eps))
             ratios.append(resid / eps**4)
         if max(ratios) / min(ratios) >= 4.0:
@@ -485,17 +503,24 @@ CHECKS: list[tuple[str, object]] = [
 
 
 def run_verification(level: str) -> tuple[bool, list[str]]:
-    """Run every check at the given level; returns (all_passed, report lines)."""
+    """Run every check at the given level, in registry order.
+
+    Returns (all_passed, report lines), one PASS or FAIL line per check. A
+    check that raises fails with the exception's type and message, and the
+    checks after it still run.
+    """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     lines = []
     ok = True
     for name, fn in CHECKS:
-        failure = fn(level)
+        try:
+            failure = fn(level)
+        except Exception as exc:
+            failure = f"{type(exc).__name__}: {exc}"
         if failure is None:
             lines.append(f"PASS {name}")
         else:
             ok = False
             lines.append(f"FAIL {name}: {failure}")
-            break
     return ok, lines

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, chernoff, moments
-from .specfun import DEFAULT_CONFIG, ConvergenceError, EvalConfig
+from .specfun import ConvergenceError
 
 # slack for the generated-row sanity checks; a violation beyond this is a bug
 _ROW_SLACK = 1e-10
@@ -74,7 +74,6 @@ CSV_HEADER = "epsilon,exact,bernstein,subgaussian,chernoff"
 def comparison_rows(
     params: moments.BetaParams,
     grid: GridSpec,
-    cfg: EvalConfig = DEFAULT_CONFIG,
     log_spacing: bool = False,
 ) -> list[ComparisonRow]:
     """Upper-tail comparison rows over the grid, soundness-checked.
@@ -86,20 +85,18 @@ def comparison_rows(
     """
     mu = float(params.mean())
     width = 1.0 - mu
-    proxy = bounds.subgaussian_optimal_proxy(params, cfg)
+    proxy = bounds.subgaussian_optimal_proxy(params)
     rows = []
     for eps in grid.points(log_spacing):
-        exact = bounds.exact_tail(params, eps, bounds.TailSide.UPPER, cfg)
+        exact = bounds.exact_tail(params, eps, bounds.TailSide.UPPER)
         bern = bounds.bernstein_tail_bound(params, eps, bounds.TailSide.UPPER)
-        subg = bounds.subgaussian_bound(params, eps, cfg, proxy=proxy)
+        subg = bounds.subgaussian_bound(params, eps, proxy=proxy)
         if eps == 0.0:
             cher = 1.0
         elif eps >= width:
             cher = 0.0
         else:
-            result = chernoff.chernoff_exponent_numeric(
-                params, eps, bounds.TailSide.UPPER, cfg
-            )
+            result = chernoff.chernoff_exponent_numeric(params, eps, bounds.TailSide.UPPER)
             cher = math.exp(-result.exponent)
             if not result.converged:
                 print(f"warning: Chernoff optimizer unconverged at eps={eps!r}, "
@@ -116,21 +113,15 @@ def _check_row(params: moments.BetaParams, row: ComparisonRow) -> None:
     values = (row.exact, row.bernstein, row.subgaussian, row.chernoff)
     if any(not 0.0 <= p <= 1.0 for p in values):
         raise SoundnessError(f"probability outside [0,1] at eps={row.epsilon}: {row}")
-    if row.exact > row.chernoff + _ROW_SLACK:
-        raise SoundnessError(
-            f"{params}: exact tail {row.exact} above Chernoff bound {row.chernoff} "
-            f"at eps={row.epsilon}"
-        )
-    if row.chernoff > row.bernstein + _ROW_SLACK:
-        raise SoundnessError(
-            f"{params}: Chernoff bound {row.chernoff} above Bernstein bound "
-            f"{row.bernstein} at eps={row.epsilon}"
-        )
-    if row.exact > row.subgaussian + _ROW_SLACK:
-        raise SoundnessError(
-            f"{params}: exact tail {row.exact} above sub-gaussian bound "
-            f"{row.subgaussian} at eps={row.epsilon}"
-        )
+    for low, low_name, high, high_name in (
+        (row.exact, "exact tail", row.chernoff, "Chernoff bound"),
+        (row.chernoff, "Chernoff bound", row.bernstein, "Bernstein bound"),
+        (row.exact, "exact tail", row.subgaussian, "sub-gaussian bound"),
+    ):
+        if low > high + _ROW_SLACK:
+            raise SoundnessError(
+                f"{params}: {low_name} {low} above {high_name} {high} at eps={row.epsilon}"
+            )
 
 
 def render_csv(rows: list[ComparisonRow]) -> str:
@@ -205,9 +196,8 @@ def cmd_bound(args) -> int:
 def cmd_compare(args) -> int:
     params = _parse_params(args)
     grid = _parse_grid(args.grid)
-    cfg = DEFAULT_CONFIG if args.tol is None else EvalConfig(rel_tol=args.tol)
     try:
-        rows = comparison_rows(params, grid, cfg, log_spacing=args.log_grid)
+        rows = comparison_rows(params, grid, log_spacing=args.log_grid)
     except SoundnessError as exc:
         print(f"soundness violation: {exc}", file=sys.stderr)
         return 4
@@ -257,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--grid", required=True, help="deviation grid start:stop:steps")
     p_compare.add_argument("--out", required=True, help="output CSV path")
     p_compare.add_argument("--log-grid", action="store_true", help="log-spaced grid")
-    p_compare.add_argument("--tol", type=float, default=None, help="override relative tolerance")
     p_compare.set_defaults(func=cmd_compare)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")

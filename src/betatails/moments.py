@@ -75,15 +75,6 @@ class MomentTable:
     central: tuple[Scalar, ...]
     normalized: tuple[Scalar, ...]
 
-    def __len__(self) -> int:
-        return len(self.central)
-
-    def central_moment(self, d: int) -> Scalar:
-        return self.central[d]
-
-    def normalized_moment(self, d: int) -> Scalar:
-        return self.normalized[d]
-
 
 def raw_moment(params: BetaParams, d: int) -> Scalar:
     """E[X^d] = (alpha)_d / (alpha+beta)_d."""

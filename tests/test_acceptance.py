@@ -2,6 +2,10 @@
 pass/fail line (run with ``pytest -s`` to see them) and enforcing its stated
 tolerance and runtime budget.
 
+A criterion that the ``verify`` registry already states runs the matching
+``_verify.CHECKS`` entries at level ``full``; the grids, seeds and
+tolerances live there only. Criteria 2, 4 and 8 have no registry check.
+
 The quadrature oracles used here are arbitrary-precision adaptive integrals
 (mpmath tanh-sinh), fully independent of the library's own kernels.
 """
@@ -10,45 +14,16 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from betatails.bounds import (
-    TailSide,
-    bernstein_tail_bound,
-    exact_tail,
-    log_upper_bound,
-    sub_gamma_params,
-)
-from betatails.chernoff import (
-    cgf,
-    chernoff_exponent_numeric,
-    derivative_ratio_check,
-    cumulant_upper_bound,
-    best_tilt,
-    chernoff_exponent_expansion,
-)
+from betatails import _verify
 from betatails.cli import main as cli_main
-from betatails.moments import (
-    BetaParams,
-    central_moment_binomial_oracle,
-    central_moment_hypergeom_oracle,
-    central_moments_recursive,
-    standardized_moment,
-)
-from betatails.specfun import EvalConfig, kummer_1f1, log_gamma, regularized_incomplete_beta
+from betatails.moments import BetaParams, standardized_moment
+from betatails.specfun import kummer_1f1, log_gamma, regularized_incomplete_beta
 
-MOMENT_PAIRS = [
-    (Fraction(1), Fraction(1)),
-    (Fraction(2), Fraction(3)),
-    (Fraction(1, 2), Fraction(1, 2)),
-    (Fraction(2), Fraction(98)),
-    (Fraction(7), Fraction(11, 3)),
-]
-SOUNDNESS_PAIRS = MOMENT_PAIRS + [(Fraction(98), Fraction(2))]
-INEQUALITY_PAIRS = [(2, 98), (2, 998), (5, 5), (98, 2), (1, 1), (2, 3)]
+CHECKS = dict(_verify.CHECKS)
 
 
 @contextmanager
@@ -65,24 +40,16 @@ def criterion(name, budget_s=None):
     print(f"[acceptance] {name}: PASS ({elapsed:.3f}s)")
 
 
-def _linspace(lo, hi, n):
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
-def _logspace(lo, hi, n):
-    r = math.log(hi / lo)
-    return [lo * math.exp(r * i / (n - 1)) for i in range(n)]
+def run_checks(*names):
+    """Run the named registry checks at level full; each must pass."""
+    for name in names:
+        failure = CHECKS[name]("full")
+        assert failure is None, f"{name}: {failure}"
 
 
 def test_criterion_1_oracle_equivalence():
     with criterion("1 ORACLE EQUIVALENCE", budget_s=1.0):
-        for a, b in MOMENT_PAIRS:
-            params = BetaParams(a, b)
-            table = central_moments_recursive(params, 20)
-            for d in range(21):
-                mu = table.central[d]
-                assert mu == central_moment_binomial_oracle(params, d)
-                assert mu == central_moment_hypergeom_oracle(params, d)
+        run_checks("ORACLE-EQUIVALENCE")
 
 
 def test_criterion_2_skew_kurtosis_spot_checks():
@@ -95,19 +62,7 @@ def test_criterion_2_skew_kurtosis_spot_checks():
 
 def test_criterion_3_bound_soundness():
     with criterion("3 BOUND SOUNDNESS", budget_s=30.0):
-        for a, b in SOUNDNESS_PAIRS:
-            params = BetaParams(a, b)
-            mu = float(params.mean())
-            for side, width in (
-                (TailSide.UPPER, 1.0 - mu),
-                (TailSide.LOWER, mu),
-            ):
-                for eps in _linspace(0.0, width, 200):
-                    bound = bernstein_tail_bound(params, eps, side)
-                    tail = exact_tail(params, eps, side)
-                    assert bound - tail >= -1e-10, (
-                        f"Beta({a},{b}) {side.value} eps={eps}: {bound} < {tail}"
-                    )
+        run_checks("BERNSTEIN-SOUNDNESS")
 
 
 def _comparison_rows_via_cli(tmp_path, alpha, beta, stop):
@@ -136,115 +91,32 @@ def test_criterion_4_comparison_reproduction(tmp_path):
 
 def test_criterion_5_exponent_optimality():
     with criterion("5 EXPONENT OPTIMALITY", budget_s=10.0):
-        for a, b in ((2, 5), (2, 98), (3, 3)):
-            params = BetaParams(a, b)
-            ratios = []
-            for eps in (0.02, 0.01, 0.005, 0.0025):
-                res = chernoff_exponent_numeric(params, eps, TailSide.UPPER)
-                assert res.converged
-                resid = abs(res.exponent - chernoff_exponent_expansion(params, eps))
-                ratios.append(resid / eps**4)
-            assert max(ratios) / min(ratios) < 4.0, (
-                f"Beta({a},{b}): residual/eps^4 spread {max(ratios) / min(ratios)}"
-            )
-
-
-def _inequality_t_grid(a, b, n=50):
-    c = float(sub_gamma_params(BetaParams(a, b)).c)
-    hi = 0.95 / c if c > 0 else 20.0
-    return _logspace(1e-3, hi, n)
+        run_checks("EXPONENT-EXPANSION")
 
 
 def test_criterion_6a_derivative_ratio_inequality():
     with criterion("6a MGF DERIVATIVE RATIO", budget_s=30.0):
-        for a, b in INEQUALITY_PAIRS:
-            params = BetaParams(a, b)
-            for t in _inequality_t_grid(a, b):
-                assert derivative_ratio_check(params, t), f"Beta({a},{b}) t={t}"
+        run_checks("MGF-DERIVATIVE-RATIO")
 
 
 def test_criterion_6b_cumulant_upper_bound():
     with criterion("6b CUMULANT UPPER BOUND", budget_s=30.0):
-        cfg = EvalConfig(max_iter=20_000)
-        for a, b in INEQUALITY_PAIRS:
-            params = BetaParams(a, b)
-            sg = sub_gamma_params(params)
-            for t in _inequality_t_grid(a, b):
-                assert cgf(params, t, cfg) <= cumulant_upper_bound(sg, t) + 1e-10, (
-                    f"Beta({a},{b}) t={t}"
-                )
+        run_checks("CUMULANT-UPPER-BOUND")
 
 
 def test_criterion_6c_tilt_identity():
     with criterion("6c TILT IDENTITY", budget_s=30.0):
-        for a, b in ((2, 98), (2, 998), (2, 3), (1, 2)):
-            params = BetaParams(a, b)
-            sg = sub_gamma_params(params)
-            v, c = float(sg.v), float(sg.c)
-            mu = float(params.mean())
-            for eps in _logspace(1e-4 * (1 - mu), 0.5 * (1 - mu), 12):
-                tb = best_tilt(sg, eps)
-                assert tb < 1.0 / c
-                lhs = eps * tb - cumulant_upper_bound(sg, tb)
-                x = c * eps / v
-                rhs = v / (c * c) * (x - math.log1p(x))
-                assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)), (
-                    f"Beta({a},{b}) eps={eps}: {lhs} != {rhs}"
-                )
+        run_checks("TILT-IDENTITY")
 
 
 def test_criterion_6d_log_refinement_upper_direction():
-    """log(1+x) lies strictly above x - x^2/(2(1+x/3)) on random x in (0, 100].
-
-    The refinement is an upper-direction bound on x - log(1+x): the gap
-    g(x) = log(1+x) - (x - x^2/(2(1+x/3))) has g(0) = 0 and
-    g'(x) = x^2 (x+9) / (2 (x+1) (x+3)^2) >= 0, so g > 0 for every x > 0 and
-    x - log(1+x) <= x^2/(2(1+x/3)). The reverse orientation
-    log(1+x) <= x - x^2/(2(1+x/3)) is therefore impossible away from the
-    origin (at x = 3 the two sides are 1.386... and 0.75).
-
-    Besides the sign, the check pins the formula through its documented
-    second-order contact at the origin: g(x) = x^3/6 + O(x^4), so
-    g(x) / (x^3/6) tends to 1. Dropping the 1/3 in the denominator makes the
-    sign fail; dropping the whole denominator doubles the contact ratio.
-    """
     with criterion("6d LOG REFINEMENT (strictly below log(1+x), x^3/6 contact)", budget_s=30.0):
-        assert log_upper_bound(0.0) == 0.0
-        for x in (1e-4, 1e-3):
-            ratio = (math.log1p(x) - log_upper_bound(x)) / (x**3 / 6.0)
-            assert abs(ratio - 1.0) <= 1e-2, (
-                f"(log(1+x) - refinement) / (x^3/6) = {ratio} at x = {x}, expected 1"
-            )
-        rng = random.Random(20260810)
-        for _ in range(1_000_000):
-            x = rng.uniform(0.0, 100.0)
-            if x > 0.0:
-                assert math.log1p(x) > log_upper_bound(x), (
-                    f"log(1+x) = {math.log1p(x)} does not exceed x - x^2/(2(1+x/3)) = "
-                    f"{log_upper_bound(x)} at x = {x}"
-                )
+        run_checks("LOG-REFINEMENT")
 
 
 def test_criterion_7_moment_sign_and_recursion():
     with criterion("7 MOMENT SIGN AND SCALED RECURSION", budget_s=5.0):
-        rng = random.Random(20260810)
-        for _ in range(50):
-            a = Fraction(rng.randint(1, 40), rng.randint(1, 8))
-            b = Fraction(rng.randint(1, 40), rng.randint(1, 8))
-            params = BetaParams(a, b)
-            s = a + b
-            table = central_moments_recursive(params, 20)
-            expected = (b > a) - (b < a)
-            for d in range(3, 20, 2):
-                mu = table.central[d]
-                assert ((mu > 0) - (mu < 0)) == expected, f"Beta({a},{b}) d={d}"
-            for d in range(0, 21, 2):
-                assert table.central[d] >= 0
-            m = table.normalized
-            for d in range(2, 21):
-                lhs = d * (s + d - 1) * m[d]
-                rhs = (d - 1) * (b - a) / s * m[d - 1] + a * b / (s * s) * m[d - 2]
-                assert lhs == rhs, f"Beta({a},{b}) d={d}: scaled recursion"
+        run_checks("SIGN-ODD-MOMENTS", "EVEN-NONNEGATIVE", "SCALED-RECURSION")
 
 
 def _ibeta_quadrature_oracle(a, b, x):

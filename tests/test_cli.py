@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from betatails import bounds
+from betatails import _verify, bounds
 from betatails.cli import (
     CSV_HEADER,
     ComparisonRow,
@@ -114,11 +114,15 @@ class TestBoundCommand:
                      "--side", "lower"]) == 0
         assert "bound = " in capsys.readouterr().out
 
-    def test_tolerance_flag_is_an_argument_error(self, capsys):
-        # the bound is closed-form: no tolerance to override
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--alpha", "2", "--beta", "98", "--eps", "0.02", "--side", "upper"],
+        ["compare", "--alpha", "2", "--beta", "98", "--grid", "0:0.05:5", "--out", "x.csv"],
+    ], ids=["bound", "compare"])
+    def test_tolerance_flag_is_an_argument_error(self, argv, capsys):
+        # no command takes a tolerance: the bound is closed-form, and compare's
+        # columns run at the library's default configuration
         with pytest.raises(SystemExit) as exc:
-            main(["bound", "--alpha", "2", "--beta", "98", "--eps", "0.02",
-                  "--side", "upper", "--tol", "1e-10"])
+            main(argv + ["--tol", "1e-10"])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
@@ -215,12 +219,6 @@ class TestCompareCommand:
         assert capsys.readouterr().err == "convergence failure: forced\n"
         assert not (tmp_path / "x.csv").exists()
 
-    def test_tolerance_override_accepted(self, tmp_path):
-        out = tmp_path / "tol.csv"
-        assert main(["compare", "--alpha", "2", "--beta", "98",
-                     "--grid", "0:0.05:5", "--out", str(out),
-                     "--tol", "1e-10"]) == 0
-
     def test_rational_literals_accepted(self, tmp_path):
         out = tmp_path / "rat.csv"
         assert main(["compare", "--alpha", "1/2", "--beta", "1/2",
@@ -251,6 +249,8 @@ class TestVerifyCommand:
         start = time.perf_counter()
         assert main(["verify", "full"]) == 0
         assert time.perf_counter() - start < 300.0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"PASS {name}" for name, _ in _verify.CHECKS]
 
     def test_injected_sign_error_reports_sign_labelled_failure(self, monkeypatch, capsys):
         true_fn = bounds.sub_gamma_params
@@ -261,9 +261,25 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(bounds, "sub_gamma_params", flipped)
         assert main(["verify", "quick"]) == 1
-        out = capsys.readouterr().out
-        fail_lines = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        lines = capsys.readouterr().out.splitlines()
+        fail_lines = [ln for ln in lines if ln.startswith("FAIL")]
         assert fail_lines and "SIGN" in fail_lines[0]
+        # verify reports every check, and a check that raises is a FAIL line
+        assert len(lines) == len(_verify.CHECKS)
+        assert any(ln.startswith("FAIL BOUND-MONOTONICITY: ValueError: ") for ln in lines)
+        assert any(ln.startswith("FAIL COMPARISON-ORDERING: SoundnessError: ") for ln in lines)
+
+    def test_raising_check_is_a_fail_line(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("forced")
+
+        monkeypatch.setattr(bounds, "subgaussian_optimal_proxy", fail)
+        assert main(["verify", "quick"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        names = [name for name, _ in _verify.CHECKS]
+        at = names.index("SUBGAUSSIAN-PROXY")
+        assert lines[:at] == [f"PASS {name}" for name in names[:at]]
+        assert lines[at] == "FAIL SUBGAUSSIAN-PROXY: ConvergenceError: forced"
 
 
 class TestComparisonRowsApi:
