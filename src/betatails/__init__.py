@@ -24,12 +24,7 @@ from .moments import (
     raw_moment,
     standardized_moment,
 )
-from .specfun import (
-    ConvergenceError,
-    DEFAULT_CONFIG,
-    EvalConfig,
-    regularized_incomplete_beta,
-)
+from .specfun import ConvergenceError, regularized_incomplete_beta
 
 __version__ = "0.1.0"
 
@@ -37,8 +32,6 @@ __all__ = [
     "BetaParams",
     "ChernoffResult",
     "ConvergenceError",
-    "DEFAULT_CONFIG",
-    "EvalConfig",
     "MomentTable",
     "SubGammaParams",
     "TailSide",

@@ -20,10 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .moments import BetaParams, Scalar
-from .specfun import (
-    ConvergenceError, DEFAULT_CONFIG, EvalConfig, _cgf_budget, _cgf_kernel,
-    regularized_incomplete_beta,
-)
+from .specfun import ConvergenceError, _cgf_kernel, regularized_incomplete_beta
 
 
 class TailSide(Enum):
@@ -84,9 +81,7 @@ def bernstein_tail_bound(params: BetaParams, eps: float, side: TailSide) -> floa
     return math.exp(-eps * eps / (2.0 * float(sg.v)))
 
 
-def exact_tail(
-    params: BetaParams, eps: float, side: TailSide, cfg: EvalConfig = DEFAULT_CONFIG
-) -> float:
+def exact_tail(params: BetaParams, eps: float, side: TailSide) -> float:
     """Exact tail probability at deviation eps from the mean.
 
     UPPER gives P{X > mu + eps} = I_{1-mu-eps}(beta, alpha), evaluated in the
@@ -101,11 +96,11 @@ def exact_tail(
         u = 1.0 - mu - eps
         if u <= 0.0:
             return 0.0
-        return regularized_incomplete_beta(b, a, min(u, 1.0), cfg)
+        return regularized_incomplete_beta(b, a, min(u, 1.0))
     x = mu - eps
     if x <= 0.0:
         return 0.0
-    return regularized_incomplete_beta(a, b, min(x, 1.0), cfg)
+    return regularized_incomplete_beta(a, b, min(x, 1.0))
 
 
 def log_upper_bound(x: float) -> float:
@@ -126,7 +121,7 @@ def log_upper_bound(x: float) -> float:
     return x - x * x / (2.0 * (1.0 + x / 3.0))
 
 
-def subgaussian_optimal_proxy(params: BetaParams, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def subgaussian_optimal_proxy(params: BetaParams) -> float:
     """Best sub-gaussian variance proxy: sup over t != 0 of f(t) = 2 psi(t) / t^2.
 
     f tends to the variance v as t -> 0 and f'(t) = 2 g(t) / t^3 with
@@ -153,7 +148,7 @@ def subgaussian_optimal_proxy(params: BetaParams, cfg: EvalConfig = DEFAULT_CONF
 
     def residual(t: float) -> float:
         nonlocal best
-        psi, _, _, g = _cgf_kernel(a, b, t, _cgf_budget(t, cfg))
+        psi, _, _, g = _cgf_kernel(a, b, t)
         best = max(best, 2.0 * psi / (t * t))
         return g
 
@@ -162,10 +157,13 @@ def subgaussian_optimal_proxy(params: BetaParams, cfg: EvalConfig = DEFAULT_CONF
         return best
     hi, g_hi, side = math.inf, -1.0, 0  # g_hi is unused while hi is infinite
     t_limit = 1e3 * (float(params.total) + 1.0)
-    for _ in range(200):
+    for step in range(200):
         t = 2.0 * lo if hi == math.inf else lo + (hi - lo) * g_lo / (g_lo - g_hi)
         if t > t_limit:
-            raise ConvergenceError(f"sub-gaussian proxy objective rising at t={lo} for {params}")
+            raise ConvergenceError(
+                f"sub-gaussian proxy objective rising at t={lo} for {params} after {step} "
+                f"steps: the next passes the limit 1e3 (alpha+beta+1) = {t_limit}"
+            )
         g = residual(t)
         if g > 0.0:  # Illinois: halve the residual of an end kept twice
             lo, g_lo, g_hi, side = t, g, g_hi * (0.5 if side > 0 else 1.0), 1
@@ -174,20 +172,16 @@ def subgaussian_optimal_proxy(params: BetaParams, cfg: EvalConfig = DEFAULT_CONF
         if g == 0.0 or hi - lo <= 1e-9 * lo:
             break
     else:
-        raise ConvergenceError(f"sub-gaussian proxy root not found for {params}: [{lo}, {hi}]")
+        raise ConvergenceError(
+            f"sub-gaussian proxy root not found for {params} in 200 steps: [{lo}, {hi}]"
+        )
     elder = 1.0 / (4.0 * (float(params.total) + 1.0))
     if not best <= elder * (1.0 + 1e-9):
         raise ConvergenceError(f"sub-gaussian proxy {best} exceeds Elder's bound {elder}")
     return best
 
 
-def subgaussian_bound(
-    params: BetaParams,
-    eps: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    *,
-    proxy: float | None = None,
-) -> float:
+def subgaussian_bound(params: BetaParams, eps: float, *, proxy: float | None = None) -> float:
     """exp(-eps^2 / (2 sigma^2)) with sigma^2 the optimal sub-gaussian proxy.
 
     Side-independent. Pass a precomputed proxy to skip the optimization when
@@ -195,7 +189,7 @@ def subgaussian_bound(
     """
     if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
-    sigma2 = subgaussian_optimal_proxy(params, cfg) if proxy is None else proxy
+    sigma2 = subgaussian_optimal_proxy(params) if proxy is None else proxy
     if eps == 0:
         return 1.0
     return math.exp(-eps * eps / (2.0 * sigma2))

@@ -20,10 +20,7 @@ from dataclasses import dataclass
 
 from .bounds import SubGammaParams, TailSide, sub_gamma_params
 from .moments import BetaParams
-from .specfun import (
-    DEFAULT_CONFIG, EvalConfig, _centered_series, _cgf_budget, _cgf_kernel, _series_length,
-    log_gamma,
-)
+from .specfun import _centered_series, _cgf_kernel, _series_length, log_gamma
 
 # Slack applied when certifying the derivative-ratio inequality; matches the
 # tolerance the verification suite runs at.
@@ -45,27 +42,29 @@ class ChernoffResult:
     converged: bool
 
 
-def centered_mgf(params: BetaParams, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """phi(t) = E[exp(t (X - E[X]))] via the closed 1F1 form; phi(0) = 1."""
-    return math.exp(cgf(params, t, cfg))
+def centered_mgf(params: BetaParams, t: float) -> float:
+    """phi(t) = E[exp(t (X - E[X]))] via the closed 1F1 form; phi(0) = 1. Raises as cgf."""
+    return math.exp(cgf(params, t))
 
 
-def cgf(params: BetaParams, t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def cgf(params: BetaParams, t: float) -> float:
     """psi(t) = log phi(t); zero at t = 0, convex, and non-negative everywhere.
 
-    Negative t is positive t for 1 - X; the series budget grows with |t|.
+    Negative t is positive t for 1 - X; the series budget grows with |t|. A NaN
+    or infinite t raises ValueError; a 1F1 series that outruns its budget, or
+    peaks at index 2^53 or past it (|t| from about 9e15), ConvergenceError.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t == 0.0:
         return 0.0
     a, b = float(params.alpha), float(params.beta)
     if t < 0.0:
         a, b, t = b, a, -t
-    return _cgf_kernel(a, b, t, _cgf_budget(t, cfg))[0]
+    return _cgf_kernel(a, b, t)[0]
 
 
-def chernoff_exponent_numeric(
-    params: BetaParams, eps: float, side: TailSide, cfg: EvalConfig = DEFAULT_CONFIG
-) -> ChernoffResult:
+def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) -> ChernoffResult:
     """psi*(eps) = sup_{t >= 0} (t eps - psi(t)) for the requested tail.
 
     The lower tail is the upper tail of 1 - X ~ Beta(beta, alpha), so only one
@@ -81,7 +80,7 @@ def chernoff_exponent_numeric(
     gave it.
     """
     if side is TailSide.LOWER:
-        return chernoff_exponent_numeric(params.swapped(), eps, TailSide.UPPER, cfg)
+        return chernoff_exponent_numeric(params.swapped(), eps, TailSide.UPPER)
     a, b = float(params.alpha), float(params.beta)
     mu = a / (a + b)
     if not 0.0 < eps < 1.0 - mu:
@@ -96,7 +95,7 @@ def chernoff_exponent_numeric(
     lo, hi = 0.0, math.inf
     best_f = best_t = 0.0
     for _ in range(_SOLVE_STEPS):
-        psi, slope, curvature, _ = _cgf_kernel(a, b, t, _cgf_budget(t, cfg))
+        psi, slope, curvature, _ = _cgf_kernel(a, b, t)
         f = t * eps - psi
         if f > best_f:
             best_f, best_t = f, t

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betatails import bounds
 from betatails.bounds import (
     SubGammaParams,
     TailSide,
@@ -20,6 +21,7 @@ from betatails.bounds import (
     sub_gamma_params,
 )
 from betatails.moments import BetaParams, central_moments_recursive
+from betatails.specfun import ConvergenceError
 
 GRID = [
     (Fraction(1), Fraction(1)),
@@ -232,10 +234,24 @@ class TestSubgaussianProxy:
 
     def test_root_past_a_fixed_bracket_limit(self):
         # the root lies near t = 5.8e7, where the window sums about 65,000
-        # terms above the series' peak: more than max_iter = 10,000
+        # terms above the series' peak: more than the 10,000-term floor of the
+        # kernel's budget, which is 4t + 2000 there
         p = BetaParams(1, 1e7)
         proxy = subgaussian_optimal_proxy(p)
         assert float(sub_gamma_params(p).v) <= proxy <= 1.0 / (4.0 * (1e7 + 2.0))
+
+    def test_rising_objective_reports_steps_and_limit(self, monkeypatch):
+        # g > 0 everywhere: doubling from 1e-12 passes 1e3 (2 + 98 + 1) at step 56
+        monkeypatch.setattr(bounds, "_cgf_kernel", lambda a, b, t: (0.0, 0.0, 0.0, 1.0))
+        with pytest.raises(ConvergenceError, match=r"after 56 steps.* = 101000\.0$"):
+            subgaussian_optimal_proxy(BetaParams(2, 98))
+
+    def test_lost_root_reports_steps(self, monkeypatch):
+        # a NaN residual past t = 1 keeps the Illinois steps from closing the bracket
+        kernel = lambda a, b, t: (0.0, 0.0, 0.0, 1.0 if t < 1.0 else math.nan)
+        monkeypatch.setattr(bounds, "_cgf_kernel", kernel)
+        with pytest.raises(ConvergenceError, match="in 200 steps"):
+            subgaussian_optimal_proxy(BetaParams(2, 98))
 
 
 # Shapes from mildly to extremely skewed, both orientations, tiny to large.

@@ -19,7 +19,7 @@ from betatails.chernoff import (
     chernoff_exponent_expansion,
 )
 from betatails.moments import BetaParams, central_moments_recursive
-from betatails.specfun import EvalConfig
+from betatails.specfun import ConvergenceError
 
 INEQUALITY_GRID = [(2, 98), (2, 998), (5, 5), (98, 2), (1, 1), (2, 3)]
 
@@ -117,10 +117,24 @@ class TestCgf:
         assert cgf(p, 1.0) == pytest.approx(math.log(centered_mgf(p, 1.0)), rel=1e-12)
 
     def test_large_tilt_past_the_iteration_cap(self):
-        # a sum from k = 0 would need about 2t terms, far more than max_iter =
-        # 10,000; the window around the series' peak sums about 3,800 above it
+        # a sum from k = 0 would need about 2t terms; the window around the
+        # series' peak sums about 3,800 above it, well inside the 4t + 2000
+        # term budget
         expected = _mp_cgf(2, 98, 2e5)
         assert cgf(BetaParams(2, 98), 2e5) == pytest.approx(float(expected), rel=1e-12)
+
+    def test_peak_past_2_53_is_loud_and_fast(self):
+        # past 2^53 k += 1.0 no longer moves k, so the series would never end
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="k0="):
+            cgf(BetaParams(2, 98), 1e17)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("fn", [cgf, centered_mgf], ids=["cgf", "centered_mgf"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_tilt_is_a_value_error(self, fn, t):
+        with pytest.raises(ValueError, match="finite"):
+            fn(BetaParams(2, 98), t)
 
     @pytest.mark.parametrize("a,b", [(2, 98), (5, 5)])
     def test_convexity_on_grid(self, a, b):
@@ -288,9 +302,8 @@ class TestCumulantUpperBound:
     def test_dominates_cgf_on_grid(self, a, b):
         p = BetaParams(a, b)
         sg = sub_gamma_params(p)
-        cfg = EvalConfig(max_iter=20_000)
         for t in _inequality_t_grid(a, b, 20):
-            assert cgf(p, t, cfg) <= cumulant_upper_bound(sg, t) + 1e-10
+            assert cgf(p, t) <= cumulant_upper_bound(sg, t) + 1e-10
 
     def test_rejects_t_beyond_pole(self):
         sg = sub_gamma_params(BetaParams(2, 98))

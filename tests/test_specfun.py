@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betatails import specfun
+from betatails.chernoff import cgf
+from betatails.moments import BetaParams
 from betatails.specfun import (
+    _REL_TOL,
     ConvergenceError,
-    DEFAULT_CONFIG,
-    EvalConfig,
     gauss_2f1_terminating,
     kummer_1f1,
     log_gamma,
@@ -20,21 +22,6 @@ from betatails.specfun import (
     pochhammer,
     regularized_incomplete_beta,
 )
-
-
-class TestEvalConfig:
-    def test_defaults(self):
-        assert DEFAULT_CONFIG.rel_tol == 1e-12
-        assert DEFAULT_CONFIG.max_iter == 10_000
-
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, 1e-6, 1.0])
-    def test_rejects_bad_tolerance(self, rel_tol):
-        with pytest.raises(ValueError):
-            EvalConfig(rel_tol=rel_tol)
-
-    def test_rejects_small_iteration_cap(self):
-        with pytest.raises(ValueError):
-            EvalConfig(max_iter=99)
 
 
 class TestPochhammer:
@@ -116,10 +103,10 @@ class TestRegularizedIncompleteBeta:
             regularized_incomplete_beta(a, b, x)
 
     def test_convergence_failure_is_loud(self):
-        # this near-crossover case needs ~260 fraction steps at full precision
-        cfg = EvalConfig(rel_tol=1e-15, max_iter=100)
+        # next to the crossover the fraction's step count grows with the shapes:
+        # a = 1e9 converges within 6,400 steps, a = 1e10 passes the 10,000 cap
         with pytest.raises(ConvergenceError):
-            regularized_incomplete_beta(1e5, 1e5, 0.499999, cfg)
+            regularized_incomplete_beta(1e10, 1e10, 0.5 - 1e-9)
 
     @given(
         st.floats(min_value=0.4, max_value=40.0),
@@ -134,7 +121,7 @@ class TestRegularizedIncompleteBeta:
         total = regularized_incomplete_beta(a, b, x) + regularized_incomplete_beta(
             b, a, 1.0 - x
         )
-        assert abs(total - 1.0) <= 2 * DEFAULT_CONFIG.rel_tol
+        assert abs(total - 1.0) <= 2 * _REL_TOL
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (2.0, 98.0), (7.0, 11.0 / 3.0)])
     def test_monotone_in_x(self, a, b):
@@ -203,9 +190,11 @@ class TestKummer1F1:
                 ref = float(mpmath.hyp1f1(a, c, t))
                 assert kummer_1f1(a, c, t) == pytest.approx(ref, rel=1e-14, abs=0.0), (a, c, t)
 
-    def test_iteration_cap_is_loud(self):
-        with pytest.raises(ConvergenceError):
-            kummer_1f1(2.0, 100.0, 600.0, EvalConfig(max_iter=150))
+    def test_iteration_cap_is_loud(self, monkeypatch):
+        # the window needs more than 220 terms above the peak here
+        monkeypatch.setattr(specfun, "_cgf_budget", lambda t: 150)
+        with pytest.raises(ConvergenceError, match="150 terms"):
+            kummer_1f1(2.0, 100.0, 600.0)
 
     @pytest.mark.parametrize("t", [-20.0, -12.0, -4.0, -1.0, 1.0, 4.0, 12.0, 20.0])
     def test_beta_mgf_against_live_quadrature(self, t):
@@ -219,7 +208,7 @@ class TestKummer1F1:
                 kernel, [0, 1]
             )
         assert kummer_1f1(a, a + b, t) == pytest.approx(
-            float(oracle), rel=10 * DEFAULT_CONFIG.rel_tol
+            float(oracle), rel=10 * _REL_TOL
         )
 
 
@@ -230,15 +219,22 @@ class TestLogKummer1F1:
         assert log_kummer_1f1(2.0, 100.0, t) == pytest.approx(math.log(direct), abs=1e-11)
 
     def test_far_beyond_double_overflow(self):
-        cfg = EvalConfig(max_iter=20_000)
-        assert log_kummer_1f1(2.0, 1000.0, 3000.0, cfg) == pytest.approx(
+        assert log_kummer_1f1(2.0, 1000.0, 3000.0) == pytest.approx(
             914.4611250864599, rel=1e-12
         )
 
     def test_moderately_large_argument(self):
-        assert log_kummer_1f1(2.0, 100.0, 500.0, EvalConfig(max_iter=20_000)) == pytest.approx(
-            249.88445571439744, rel=1e-12
-        )
+        assert log_kummer_1f1(2.0, 100.0, 500.0) == pytest.approx(249.88445571439744, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e6, 1e8, 1e9])
+    def test_shares_the_cgf_term_budget(self, t):
+        # cgf is log 1F1 less t a / c; both sum the series under one budget
+        assert log_kummer_1f1(2.0, 100.0, t) == cgf(BetaParams(2, 98), t) + t * 2.0 / 100.0
+
+    def test_peak_past_2_53_is_loud(self):
+        # float indices stop moving there; the series would not end
+        with pytest.raises(ConvergenceError, match=r"2\*\*53"):
+            log_kummer_1f1(2.0, 100.0, 1e17)
 
 
 class TestGauss2F1Terminating:
