@@ -1,15 +1,13 @@
 """Self-contained invariant suite behind the ``verify`` CLI command.
 
 This registry is the one statement of the package's invariants:
-``tests/test_acceptance.py`` runs the matching ``CHECKS`` entries at level
-``full`` instead of restating them, so a grid, seed or tolerance is changed
-here or nowhere.
+``tests/test_acceptance.py`` runs the matching ``CHECKS`` entries instead of
+restating them, so a grid, seed or tolerance is changed here or nowhere.
 
-Every check is a pure function returning None on success or a short failure
-description; an exception it raises is reported as a failure of that check.
-The quick level trims grids to run in a few seconds; the full level runs the
-complete grids. All randomness is seeded, so two runs of the same level
-always perform identical work.
+Every check is a pure function of no arguments returning None on success or
+a short failure description; an exception it raises is reported as a
+failure of that check. All randomness is seeded, so two runs always perform
+identical work.
 """
 
 from __future__ import annotations
@@ -44,24 +42,22 @@ def _logspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo * math.exp(r * i / (n - 1)) for i in range(n)]
 
 
-def _random_shapes(level: str) -> list[tuple[Fraction, Fraction]]:
+def _random_shapes() -> list[tuple[Fraction, Fraction]]:
     """Seeded rational shapes (alpha, beta), each p/q with p in 1..40 and q in 1..8."""
     rng = random.Random(_SEED)
 
     def draw() -> Fraction:
         return Fraction(rng.randint(1, 40), rng.randint(1, 8))
 
-    return [(draw(), draw()) for _ in range(50 if level == "full" else 10)]
+    return [(draw(), draw()) for _ in range(50)]
 
 
-def check_oracle_equivalence(level: str) -> str | None:
+def check_oracle_equivalence() -> str | None:
     """Recursive moments equal both independent oracles, rationally."""
-    dmax = 20 if level == "full" else 8
-    pairs = _MOMENT_PAIRS if level == "full" else _MOMENT_PAIRS[:3]
-    for a, b in pairs:
+    for a, b in _MOMENT_PAIRS:
         params = moments.BetaParams(a, b)
-        table = moments.central_moments_recursive(params, dmax)
-        for d in range(dmax + 1):
+        table = moments.central_moments_recursive(params, 20)
+        for d in range(21):
             mu = table.central[d]
             bin_val = moments.central_moment_binomial_oracle(params, d)
             hyp_val = moments.central_moment_hypergeom_oracle(params, d)
@@ -73,9 +69,9 @@ def check_oracle_equivalence(level: str) -> str | None:
     return None
 
 
-def check_sign_odd_moments(level: str) -> str | None:
+def check_sign_odd_moments() -> str | None:
     """Odd central moments share the sign of beta - alpha."""
-    for a, b in _random_shapes(level):
+    for a, b in _random_shapes():
         params = moments.BetaParams(a, b)
         table = moments.central_moments_recursive(params, 19)
         expected = (b > a) - (b < a)
@@ -87,30 +83,28 @@ def check_sign_odd_moments(level: str) -> str | None:
     return None
 
 
-def check_even_moments_nonnegative(level: str) -> str | None:
-    dmax = 20 if level == "full" else 10
-    for a, b in _MOMENT_PAIRS + _random_shapes(level):
-        table = moments.central_moments_recursive(moments.BetaParams(a, b), dmax)
-        for d in range(0, dmax + 1, 2):
+def check_even_moments_nonnegative() -> str | None:
+    for a, b in _MOMENT_PAIRS + _random_shapes():
+        table = moments.central_moments_recursive(moments.BetaParams(a, b), 20)
+        for d in range(0, 21, 2):
             if table.central[d] < 0:
                 return f"Beta({a},{b}): mu_{d} = {table.central[d]} < 0"
     return None
 
 
-def check_moment_boundedness(level: str) -> str | None:
+def check_moment_boundedness() -> str | None:
     """|mu_d| <= 1 since the centered variable lives in [-1, 1]."""
-    dmax = 20 if level == "full" else 10
     for a, b in _MOMENT_PAIRS:
-        table = moments.central_moments_recursive(moments.BetaParams(a, b), dmax)
+        table = moments.central_moments_recursive(moments.BetaParams(a, b), 20)
         for d, mu in enumerate(table.central):
             if abs(mu) > 1:
                 return f"Beta({a},{b}): |mu_{d}| = {abs(mu)} > 1"
     return None
 
 
-def check_scaled_recursion(level: str) -> str | None:
+def check_scaled_recursion() -> str | None:
     """d (s+d-1) m_d = ((d-1)(b-a)/s) m_{d-1} + (a b / s^2) m_{d-2}, exactly."""
-    for a, b in _MOMENT_PAIRS + _random_shapes(level):
+    for a, b in _MOMENT_PAIRS + _random_shapes():
         params = moments.BetaParams(a, b)
         s = params.total
         table = moments.central_moments_recursive(params, 20)
@@ -123,7 +117,7 @@ def check_scaled_recursion(level: str) -> str | None:
     return None
 
 
-def check_p_recursive_form(level: str) -> str | None:
+def check_p_recursive_form() -> str | None:
     """The recursion coefficients are degree <= 1 in d: second differences vanish."""
     for a, b in _MOMENT_PAIRS:
         params = moments.BetaParams(a, b)
@@ -137,7 +131,7 @@ def check_p_recursive_form(level: str) -> str | None:
     return None
 
 
-def check_variance_scale_identities(level: str) -> str | None:
+def check_variance_scale_identities() -> str | None:
     """mu_2 and mu_3/mu_2 match their closed forms exactly."""
     for a, b in _MOMENT_PAIRS:
         params = moments.BetaParams(a, b)
@@ -150,7 +144,7 @@ def check_variance_scale_identities(level: str) -> str | None:
     return None
 
 
-def check_vc_sign_consistency(level: str) -> str | None:
+def check_vc_sign_consistency() -> str | None:
     """sub_gamma_params equals (mu_2, mu_3/mu_2) exactly, sign of c included."""
     for a, b in _MOMENT_PAIRS + [(Fraction(98), Fraction(2)), (Fraction(3), Fraction(1))]:
         params = moments.BetaParams(a, b)
@@ -166,11 +160,10 @@ def check_vc_sign_consistency(level: str) -> str | None:
     return None
 
 
-def check_ibeta_symmetry(level: str) -> str | None:
+def check_ibeta_symmetry() -> str | None:
     """I_x(a,b) + I_{1-x}(b,a) = 1 within 2 * rel_tol."""
     rng = random.Random(_SEED + 1)
-    n = 200 if level == "full" else 40
-    for _ in range(n):
+    for _ in range(200):
         a = rng.uniform(0.3, 60.0)
         b = rng.uniform(0.3, 60.0)
         # dyadic x so x and 1-x are both exact doubles
@@ -183,11 +176,10 @@ def check_ibeta_symmetry(level: str) -> str | None:
     return None
 
 
-def check_ibeta_monotone(level: str) -> str | None:
-    n = 200 if level == "full" else 50
+def check_ibeta_monotone() -> str | None:
     for a, b in [(0.5, 0.5), (2.0, 98.0), (7.0, 11.0 / 3.0), (98.0, 2.0)]:
         prev = 0.0
-        for x in _linspace(0.0, 1.0, n):
+        for x in _linspace(0.0, 1.0, 200):
             cur = regularized_incomplete_beta(a, b, x)
             if cur < prev - 1e-14:
                 return f"I_x({a},{b}) decreased at x={x}"
@@ -195,7 +187,7 @@ def check_ibeta_monotone(level: str) -> str | None:
     return None
 
 
-def check_log_gamma_ratio(level: str) -> str | None:
+def check_log_gamma_ratio() -> str | None:
     """exp(lg(x+1)) / exp(lg(x)) = x to 1e-12 relative."""
     for x in (0.5, 1.0, 2.5, 10.0, 100.0):
         ratio = math.exp(log_gamma(x + 1.0)) / math.exp(log_gamma(x))
@@ -204,7 +196,7 @@ def check_log_gamma_ratio(level: str) -> str | None:
     return None
 
 
-def check_2f1_pochhammer_sum(level: str) -> str | None:
+def check_2f1_pochhammer_sum() -> str | None:
     """Terminating 2F1 equals a locally coded term-by-term Pochhammer sum."""
 
     def poch(x: Fraction, k: int) -> Fraction:
@@ -214,8 +206,7 @@ def check_2f1_pochhammer_sum(level: str) -> str | None:
         return out
 
     rng = random.Random(_SEED + 2)
-    n = 40 if level == "full" else 12
-    for _ in range(n):
+    for _ in range(40):
         a = Fraction(rng.randint(-6, 9), rng.randint(1, 5))
         c = Fraction(rng.randint(1, 9), rng.randint(1, 5))
         z = Fraction(rng.randint(-8, 8), rng.randint(1, 6))
@@ -230,18 +221,16 @@ def check_2f1_pochhammer_sum(level: str) -> str | None:
     return None
 
 
-def check_bernstein_soundness(level: str) -> str | None:
+def check_bernstein_soundness() -> str | None:
     """Bound minus exact tail >= -1e-10 across both tails of every grid pair."""
-    n = 200 if level == "full" else 25
-    pairs = _SOUNDNESS_PAIRS if level == "full" else _SOUNDNESS_PAIRS[1:4]
-    for a, b in pairs:
+    for a, b in _SOUNDNESS_PAIRS:
         params = moments.BetaParams(a, b)
         mu = float(params.mean())
         for side, width in (
             (bounds.TailSide.UPPER, 1.0 - mu),
             (bounds.TailSide.LOWER, mu),
         ):
-            for eps in _linspace(0.0, width, n):
+            for eps in _linspace(0.0, width, 200):
                 bd = bounds.bernstein_tail_bound(params, eps, side)
                 exact = bounds.exact_tail(params, eps, side)
                 if bd - exact < -1e-10:
@@ -252,7 +241,7 @@ def check_bernstein_soundness(level: str) -> str | None:
     return None
 
 
-def check_bernstein_reflection(level: str) -> str | None:
+def check_bernstein_reflection() -> str | None:
     for a, b in [(Fraction(2), Fraction(98)), (Fraction(7), Fraction(11, 3))]:
         params = moments.BetaParams(a, b)
         swapped = moments.BetaParams(b, a)
@@ -264,13 +253,12 @@ def check_bernstein_reflection(level: str) -> str | None:
     return None
 
 
-def check_bound_monotonicity(level: str) -> str | None:
-    n = 120 if level == "full" else 40
+def check_bound_monotonicity() -> str | None:
     for a, b in [(Fraction(2), Fraction(98)), (Fraction(5), Fraction(5)), (Fraction(98), Fraction(2))]:
         params = moments.BetaParams(a, b)
         for side in bounds.TailSide:
             prev = math.inf
-            for eps in _linspace(0.0, 0.6, n):
+            for eps in _linspace(0.0, 0.6, 120):
                 cur = bounds.bernstein_tail_bound(params, eps, side)
                 if cur > prev + 1e-15:
                     return f"Beta({a},{b}) {side.value}: bound increased at eps={eps}"
@@ -278,7 +266,7 @@ def check_bound_monotonicity(level: str) -> str | None:
     return None
 
 
-def check_log_refinement(level: str) -> str | None:
+def check_log_refinement() -> str | None:
     """x - x^2/(2(1+x/3)) lies strictly below log(1+x) for x > 0, equal at 0.
 
     The refinement is an upper-direction bound on x - log(1+x): the gap
@@ -302,15 +290,14 @@ def check_log_refinement(level: str) -> str | None:
         if abs(ratio - 1.0) > 1e-2:
             return f"(log(1+x) - refinement) / (x^3/6) = {ratio} at x={x}, expected 1"
     rng = random.Random(_SEED)
-    n = 1_000_000 if level == "full" else 20_000
-    for _ in range(n):
+    for _ in range(1_000_000):
         x = rng.uniform(0.0, 100.0)
         if x > 0.0 and math.log1p(x) <= bounds.log_upper_bound(x):
             return f"log(1+x) <= refinement at x={x}"
     return None
 
 
-def check_subgaussian_proxy(level: str) -> str | None:
+def check_subgaussian_proxy() -> str | None:
     """Symmetric shapes are strictly sub-gaussian; skewed ones exceed v clearly."""
     sym = moments.BetaParams(Fraction(5), Fraction(5))
     v = float(bounds.sub_gamma_params(sym).v)
@@ -325,17 +312,15 @@ def check_subgaussian_proxy(level: str) -> str | None:
     return None
 
 
-def check_comparison_ordering(level: str) -> str | None:
+def check_comparison_ordering() -> str | None:
     """exact < bernstein < subgaussian strictly at interior grid points.
 
     comparison_rows itself raises SoundnessError unless exact <= chernoff <=
     bernstein and exact <= subgaussian hold on every row.
     """
-    cases = [(Fraction(2), Fraction(98), 0.05), (Fraction(2), Fraction(998), 0.005)]
-    steps = 100 if level == "full" else 16
-    for a, b, stop in cases if level == "full" else cases[:1]:
+    for a, b, stop in [(Fraction(2), Fraction(98), 0.05), (Fraction(2), Fraction(998), 0.005)]:
         params = moments.BetaParams(a, b)
-        rows = comparison_rows(params, GridSpec(0.0, stop, steps))
+        rows = comparison_rows(params, GridSpec(0.0, stop, 100))
         for row in rows[1:-1]:
             if not row.exact < row.bernstein < row.subgaussian:
                 return (
@@ -346,13 +331,12 @@ def check_comparison_ordering(level: str) -> str | None:
     return None
 
 
-def check_mgf_series_consistency(level: str) -> str | None:
+def check_mgf_series_consistency() -> str | None:
     """Closed-form phi agrees with the truncated moment series within the certified tail."""
-    n = 17 if level == "full" else 9
     for a, b in [(Fraction(2), Fraction(98)), (Fraction(2), Fraction(3)), (Fraction(98), Fraction(2))]:
         params = moments.BetaParams(a, b)
         table = moments.central_moments_recursive(params, 40)
-        for t in _linspace(-20.0, 20.0, n):
+        for t in _linspace(-20.0, 20.0, 17):
             if t == 0.0:
                 continue
             series = 1.0 + math.fsum(
@@ -365,12 +349,11 @@ def check_mgf_series_consistency(level: str) -> str | None:
     return None
 
 
-def check_cgf_convexity(level: str) -> str | None:
+def check_cgf_convexity() -> str | None:
     """Divided differences of psi are non-decreasing on a sampled grid."""
-    n = 40 if level == "full" else 15
     for a, b in [(Fraction(2), Fraction(98)), (Fraction(5), Fraction(5))]:
         params = moments.BetaParams(a, b)
-        ts = _linspace(-15.0, 15.0, n)
+        ts = _linspace(-15.0, 15.0, 40)
         vals = [chernoff.cgf(params, t) for t in ts]
         prev_slope = -math.inf
         for i in range(1, len(ts)):
@@ -381,27 +364,25 @@ def check_cgf_convexity(level: str) -> str | None:
     return None
 
 
-def _inequality_points(level: str):
+def _inequality_points():
     """(a, b, params, sg, t) at log-spaced tilts from 1e-3 to 0.95/c, or to 20 if c <= 0."""
-    n = 50 if level == "full" else 10
-    pairs = _INEQUALITY_PAIRS if level == "full" else [(2, 98), (5, 5), (98, 2)]
-    for a, b in pairs:
+    for a, b in _INEQUALITY_PAIRS:
         params = moments.BetaParams(Fraction(a), Fraction(b))
         sg = bounds.sub_gamma_params(params)
         c = float(sg.c)
-        for t in _logspace(1e-3, 0.95 / c if c > 0 else 20.0, n):
+        for t in _logspace(1e-3, 0.95 / c if c > 0 else 20.0, 50):
             yield a, b, params, sg, t
 
 
-def check_derivative_ratio(level: str) -> str | None:
-    for a, b, params, _, t in _inequality_points(level):
+def check_derivative_ratio() -> str | None:
+    for a, b, params, _, t in _inequality_points():
         if not chernoff.derivative_ratio_check(params, t):
             return f"Beta({a},{b}) t={t}: phi'/phi exceeds its bound"
     return None
 
 
-def check_cumulant_upper_bound(level: str) -> str | None:
-    for a, b, params, sg, t in _inequality_points(level):
+def check_cumulant_upper_bound() -> str | None:
+    for a, b, params, sg, t in _inequality_points():
         psi = chernoff.cgf(params, t)
         cap = chernoff.cumulant_upper_bound(sg, t)
         if psi > cap + 1e-10:
@@ -409,16 +390,14 @@ def check_cumulant_upper_bound(level: str) -> str | None:
     return None
 
 
-def check_exponent_dominates_bound(level: str) -> str | None:
+def check_exponent_dominates_bound() -> str | None:
     """psi*(eps) dominates the closed-form exponent for beta >= alpha."""
-    n = 12 if level == "full" else 5
-    pairs = [(2, 98), (2, 998), (5, 5), (1, 1), (2, 3)] if level == "full" else [(2, 98), (5, 5)]
-    for a, b in pairs:
+    for a, b in [(2, 98), (2, 998), (5, 5), (1, 1), (2, 3)]:
         params = moments.BetaParams(Fraction(a), Fraction(b))
         sg = bounds.sub_gamma_params(params)
         v, c = float(sg.v), float(sg.c)
         mu = float(params.mean())
-        for eps in _logspace(1e-3 * (1 - mu), 0.5 * (1 - mu), n):
+        for eps in _logspace(1e-3 * (1 - mu), 0.5 * (1 - mu), 12):
             res = chernoff.chernoff_exponent_numeric(params, eps, bounds.TailSide.UPPER)
             target = eps * eps / (2.0 * (v + c * eps / 3.0))
             if res.exponent < target - 1e-10:
@@ -429,7 +408,7 @@ def check_exponent_dominates_bound(level: str) -> str | None:
     return None
 
 
-def check_tilt_identity(level: str) -> str | None:
+def check_tilt_identity() -> str | None:
     """eps*best_tilt - cumulant_upper_bound(best_tilt) equals (v/c^2)(x - log(1+x)) at x = c eps / v.
 
     The tilt also stays inside the cap's domain, best_tilt < 1/c.
@@ -451,10 +430,9 @@ def check_tilt_identity(level: str) -> str | None:
     return None
 
 
-def check_exponent_expansion(level: str) -> str | None:
+def check_exponent_expansion() -> str | None:
     """|psi* - (eps^2/2v - c eps^3/6v^2)| / eps^4 stays within 4x, and every solve converges."""
-    pairs = [(2, 5), (2, 98), (3, 3)] if level == "full" else [(2, 5)]
-    for a, b in pairs:
+    for a, b in [(2, 5), (2, 98), (3, 3)]:
         params = moments.BetaParams(Fraction(a), Fraction(b))
         ratios = []
         for eps in (0.02, 0.01, 0.005, 0.0025):
@@ -497,20 +475,18 @@ CHECKS: list[tuple[str, object]] = [
 ]
 
 
-def run_verification(level: str) -> tuple[bool, list[str]]:
-    """Run every check at the given level, in registry order.
+def run_verification() -> tuple[bool, list[str]]:
+    """Run every check in registry order.
 
     Returns (all_passed, report lines), one PASS or FAIL line per check. A
     check that raises fails with the exception's type and message, and the
     checks after it still run.
     """
-    if level not in ("quick", "full"):
-        raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     lines = []
     ok = True
     for name, fn in CHECKS:
         try:
-            failure = fn(level)
+            failure = fn()
         except Exception as exc:
             failure = f"{type(exc).__name__}: {exc}"
         if failure is None:

@@ -49,11 +49,17 @@ def sub_gamma_params(params: BetaParams) -> SubGammaParams:
 
 
 def sub_gamma_bound(sg: SubGammaParams, eps: float) -> float:
-    """exp(-eps^2 / (2 (v + c eps / 3))), the generic sub-gamma tail value."""
+    """exp(-eps^2 / (2 (v + c eps / 3))), the generic sub-gamma tail value.
+
+    1 at eps = 0 and 0 at eps = inf, the limit, when c >= 0. A denominator
+    that is not positive, as for c < 0 at eps >= -3 v / c, raises ValueError.
+    """
     if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
     if eps == 0:
         return 1.0
+    if eps == math.inf and sg.c >= 0:  # c * eps / 3 would read inf/inf or 0 * inf
+        return 0.0
     denom = float(sg.v) + float(sg.c) * eps / 3.0
     if denom <= 0.0:
         raise ValueError(
@@ -66,19 +72,16 @@ def bernstein_tail_bound(params: BetaParams, eps: float, side: TailSide) -> floa
     """Bernstein-type bound on P{X > E[X]+eps} (UPPER) or P{X < E[X]-eps} (LOWER).
 
     Upper side: the sub-gamma shape when beta >= alpha, the pure gaussian
-    shape exp(-eps^2/(2v)) when beta < alpha. The lower side is the upper
-    side of 1 - X, i.e. the same formulas with alpha and beta exchanged.
+    shape exp(-eps^2/(2v)), which is the sub-gamma one with c = 0, when
+    beta < alpha. The lower side is the upper side of 1 - X, i.e. the same
+    formulas with alpha and beta exchanged.
     """
-    if not eps >= 0:  # rejects nan too
-        raise ValueError(f"eps must be non-negative, got {eps}")
     if side is TailSide.LOWER:
         return bernstein_tail_bound(params.swapped(), eps, TailSide.UPPER)
     sg = sub_gamma_params(params)
-    if params.beta >= params.alpha:
-        return sub_gamma_bound(sg, eps)
-    if eps == 0:
-        return 1.0
-    return math.exp(-eps * eps / (2.0 * float(sg.v)))
+    if params.beta < params.alpha:
+        sg = SubGammaParams(v=sg.v, c=0)
+    return sub_gamma_bound(sg, eps)
 
 
 def exact_tail(params: BetaParams, eps: float, side: TailSide) -> float:

@@ -43,7 +43,12 @@ class ChernoffResult:
 
 
 def centered_mgf(params: BetaParams, t: float) -> float:
-    """phi(t) = E[exp(t (X - E[X]))] via the closed 1F1 form; phi(0) = 1. Raises as cgf."""
+    """phi(t) = E[exp(t (X - E[X]))] via the closed 1F1 form; phi(0) = 1.
+
+    Raises as cgf, and OverflowError once phi passes the largest double,
+    where psi passes 709.78 (Beta(2, 98) from t of about 1054); cgf stays
+    finite there.
+    """
     return math.exp(cgf(params, t))
 
 

@@ -215,7 +215,7 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     from . import _verify
 
-    ok, lines = _verify.run_verification(args.level)
+    ok, lines = _verify.run_verification()
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=cmd_compare)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("level", nargs="?", choices=["quick", "full"], default="quick")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -99,10 +99,11 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     Continued-fraction evaluation with the crossover at x < (a+1)/(a+b+2);
     the complementary range is reduced through I_x(a,b) = 1 - I_{1-x}(b,a)
     so the fraction always runs in its fast regime. Raises ConvergenceError
-    rather than returning a silently inaccurate value.
+    rather than returning a silently inaccurate value, and ValueError for a
+    shape that is not positive and finite.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # nan fails too
+        raise ValueError(f"shape parameters must be positive and finite, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if x == 0.0:

@@ -3,8 +3,8 @@ pass/fail line (run with ``pytest -s`` to see them) and enforcing its stated
 tolerance and runtime budget.
 
 A criterion that the ``verify`` registry already states runs the matching
-``_verify.CHECKS`` entries at level ``full``; the grids, seeds and
-tolerances live there only. Criteria 2, 4 and 8 have no registry check.
+``_verify.CHECKS`` entries; the grids, seeds and tolerances live there
+only. Criteria 2, 4 and 8 have no registry check.
 
 The quadrature oracles used here are arbitrary-precision adaptive integrals
 (mpmath tanh-sinh), fully independent of the library's own kernels.
@@ -41,9 +41,9 @@ def criterion(name, budget_s=None):
 
 
 def run_checks(*names):
-    """Run the named registry checks at level full; each must pass."""
+    """Run the named registry checks; each must pass."""
     for name in names:
-        failure = CHECKS[name]("full")
+        failure = CHECKS[name]()
         assert failure is None, f"{name}: {failure}"
 
 

@@ -89,12 +89,17 @@ class TestSubGammaBound:
 
     def test_nonpositive_denominator_rejected(self):
         sg = SubGammaParams(v=0.001, c=-1.0)
-        with pytest.raises(ValueError):
-            sub_gamma_bound(sg, 1.0)
+        for eps in (1.0, math.inf):
+            with pytest.raises(ValueError):
+                sub_gamma_bound(sg, eps)
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             sub_gamma_bound(sub_gamma_params(BetaParams(2, 3)), -0.1)
+
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_zero_at_infinite_eps(self, c):
+        assert sub_gamma_bound(SubGammaParams(v=0.01, c=c), math.inf) == 0.0
 
     def test_nan_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -108,6 +113,15 @@ class TestBernsteinTailBound:
 
     def test_unit_at_zero(self):
         assert bernstein_tail_bound(BetaParams(2, 98), 0.0, TailSide.UPPER) == 1.0
+
+    # every branch of every side: the sub-gamma one (Beta(2,98) upper,
+    # Beta(5,5) both, Beta(98,2) lower) and the gaussian one
+    @pytest.mark.parametrize("a,b", [(2, 98), (5, 5), (98, 2)])
+    @pytest.mark.parametrize("side", [TailSide.UPPER, TailSide.LOWER])
+    def test_zero_at_infinite_eps(self, a, b, side):
+        p = BetaParams(a, b)
+        assert bernstein_tail_bound(p, math.inf, side) == 0.0
+        assert exact_tail(p, math.inf, side) == 0.0
 
     def test_symmetric_sides_agree(self):
         p = BetaParams(5, 5)

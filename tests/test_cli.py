@@ -109,6 +109,11 @@ class TestBoundCommand:
                      "--side", "upper"]) == 0
         assert "bound = 1.0" in capsys.readouterr().out
 
+    def test_infinite_eps_gives_zero_bound(self, capsys):
+        assert main(["bound", "--alpha", "2", "--beta", "98", "--eps", "inf",
+                     "--side", "upper"]) == 0
+        assert "bound = 0.0" in capsys.readouterr().out.splitlines()
+
     def test_rational_literals_accepted(self, capsys):
         assert main(["bound", "--alpha", "7", "--beta", "11/3", "--eps", "0.1",
                      "--side", "lower"]) == 0
@@ -240,17 +245,20 @@ class TestRenderCsv:
 
 
 class TestVerifyCommand:
-    def test_quick_passes_on_correct_build(self, capsys):
-        assert main(["verify", "quick"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-
     def test_full_level_passes_within_budget(self, capsys):
         start = time.perf_counter()
-        assert main(["verify", "full"]) == 0
+        assert main(["verify"]) == 0
         assert time.perf_counter() - start < 300.0
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"PASS {name}" for name, _ in _verify.CHECKS]
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_level_argument_is_an_argument_error(self, level, capsys):
+        # verify has one configuration: every check runs at its full grid
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", level])
+        assert exc.value.code == 2
+        assert level in capsys.readouterr().err
 
     def test_injected_sign_error_reports_sign_labelled_failure(self, monkeypatch, capsys):
         true_fn = bounds.sub_gamma_params
@@ -260,7 +268,7 @@ class TestVerifyCommand:
             return bounds.SubGammaParams(v=sg.v, c=-sg.c)
 
         monkeypatch.setattr(bounds, "sub_gamma_params", flipped)
-        assert main(["verify", "quick"]) == 1
+        assert main(["verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
         fail_lines = [ln for ln in lines if ln.startswith("FAIL")]
         assert fail_lines and "SIGN" in fail_lines[0]
@@ -274,7 +282,7 @@ class TestVerifyCommand:
             raise ConvergenceError("forced")
 
         monkeypatch.setattr(bounds, "subgaussian_optimal_proxy", fail)
-        assert main(["verify", "quick"]) == 1
+        assert main(["verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
         names = [name for name, _ in _verify.CHECKS]
         at = names.index("SUBGAUSSIAN-PROXY")

@@ -234,6 +234,48 @@ class TestStandardizedMoments:
         with pytest.raises(ValueError):
             standardized_moment(BetaParams(2, 3), 1)
 
+    @staticmethod
+    def _oracle(a, b, d):
+        # mu_d from the terminating-2F1 route, divided at 40 digits
+        params = BetaParams(Fraction(a), Fraction(b))
+        mu_d = central_moment_hypergeom_oracle(params, d)
+        mu_2 = central_moment_hypergeom_oracle(params, 2)
+        with mpmath.workdps(40):
+            ratio = mpmath.mpf(mu_d.numerator) / mu_d.denominator
+            scale = (mpmath.mpf(mu_2.numerator) / mu_2.denominator) ** (mpmath.mpf(d) / 2)
+            return float(ratio / scale)
+
+    # mu_2^(d/2) underflows a double at every point: d = 170 is inaccurate
+    # and d >= 200 divides by zero if the two are floated separately
+    HIGH_ORDERS = [(2, 98, 170), (2, 98, 171), (2, 98, 200), (1, 1, 999), (1, 1, 1000)]
+
+    @pytest.mark.parametrize("a,b,d", HIGH_ORDERS)
+    def test_high_order_exact_shapes(self, a, b, d):
+        got = standardized_moment(BetaParams(a, b), d)
+        assert got == pytest.approx(self._oracle(a, b, d), rel=1e-15, abs=0.0)
+
+    # Beta(1, 1) at d = 1100: mu_d itself is below the smallest double
+    @pytest.mark.parametrize("a,b,d", HIGH_ORDERS + [(1, 1, 1100), (98, 2, 171)])
+    def test_high_order_float_shapes(self, a, b, d):
+        got = standardized_moment(BetaParams(float(a), float(b)), d)
+        assert got == pytest.approx(self._oracle(a, b, d), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a", [1e-300, 1e200])
+    def test_extreme_float_shapes_stay_in_range(self, a):
+        # alpha beta and (alpha+beta)^2 leave the double range; the kurtosis does not
+        got = standardized_moment(BetaParams(a, a), 4)
+        assert got == pytest.approx(3.0 - 6.0 / (2.0 * a + 3.0), rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 98), (2.0, 98.0)])
+    def test_past_the_largest_double_is_an_overflow_error(self, shape):
+        # the exact value at d = 230 is 2.0e340
+        with pytest.raises(OverflowError):
+            standardized_moment(BetaParams(*shape), 230)
+
+    def test_float_order_cap(self):
+        with pytest.raises(ValueError):
+            standardized_moment(BetaParams(2.0, 3.0), MAX_MOMENT_ORDER + 1)
+
 
 # Hard Chernoff-sweep shapes, the paper's shape and two others. With each
 # shape, the tilts just below and just above the one where the largest term

@@ -6,6 +6,7 @@ import inspect
 from pathlib import Path
 
 import betatails
+from betatails import _verify
 
 PUBLIC_API = [
     "BetaParams",
@@ -88,3 +89,10 @@ def test_traced_benchmark_functions_stay_public_in_their_layer():
         fn = getattr(importlib.import_module(f"betatails.{layer}"), attr, None)
         assert inspect.isfunction(fn) and not attr.startswith("_"), name
         assert fn.__module__ == f"betatails.{layer}", name
+
+
+def test_verify_has_one_configuration():
+    # no check and no runner takes a level, grid size or other knob
+    for name, fn in _verify.CHECKS:
+        assert inspect.signature(fn).parameters == {}, name
+    assert inspect.signature(_verify.run_verification).parameters == {}

@@ -102,6 +102,14 @@ class TestRegularizedIncompleteBeta:
         with pytest.raises(ValueError):
             regularized_incomplete_beta(a, b, x)
 
+    @pytest.mark.parametrize("a,b", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+    ])
+    def test_non_finite_shape_is_a_value_error(self, a, b):
+        # rejected before the first continued-fraction step, as BetaParams does
+        with pytest.raises(ValueError, match="finite"):
+            regularized_incomplete_beta(a, b, 0.5)
+
     def test_convergence_failure_is_loud(self):
         # next to the crossover the fraction's step count grows with the shapes:
         # a = 1e9 converges within 6,400 steps, a = 1e10 passes the 10,000 cap
