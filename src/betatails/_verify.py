@@ -103,12 +103,16 @@ def check_moment_boundedness() -> str | None:
 
 
 def check_scaled_recursion() -> str | None:
-    """d (s+d-1) m_d = ((d-1)(b-a)/s) m_{d-1} + (a b / s^2) m_{d-2}, exactly."""
+    """d (s+d-1) m_d = ((d-1)(b-a)/s) m_{d-1} + (a b / s^2) m_{d-2}, exactly.
+
+    m_d = mu_d / d! are the normalized central moments, the MGF series'
+    coefficients.
+    """
     for a, b in _MOMENT_PAIRS + _random_shapes():
         params = moments.BetaParams(a, b)
         s = params.total
-        table = moments.central_moments_recursive(params, 20)
-        m = table.normalized
+        central = moments.central_moments_recursive(params, 20).central
+        m = [mu / math.factorial(d) for d, mu in enumerate(central)]
         for d in range(2, 21):
             lhs = d * (s + d - 1) * m[d]
             rhs = (d - 1) * (b - a) / s * m[d - 1] + a * b / (s * s) * m[d - 2]
@@ -340,7 +344,7 @@ def check_mgf_series_consistency() -> str | None:
             if t == 0.0:
                 continue
             series = 1.0 + math.fsum(
-                float(table.normalized[d]) * t**d for d in range(2, 41)
+                float(table.central[d] / math.factorial(d)) * t**d for d in range(2, 41)
             )
             tail = math.fsum(abs(t) ** d / math.factorial(d) for d in range(41, 160))
             phi = chernoff.centered_mgf(params, t)

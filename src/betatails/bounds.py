@@ -36,15 +36,20 @@ class SubGammaParams:
     c: Scalar
 
     def __post_init__(self):
-        if self.v <= 0:
+        if not self.v > 0:  # rejects nan too
             raise ValueError(f"variance proxy must be positive, got v={self.v}")
 
 
 def sub_gamma_params(params: BetaParams) -> SubGammaParams:
-    """The optimal (v, c): v is the variance, c the third-to-second moment ratio."""
+    """The optimal (v, c): v is the variance, c the third-to-second moment ratio.
+
+    v = mu_2 and c = mu_3 / mu_2 are the moment recurrence's first two steps
+    in its scaled form, with no product of two shapes, so huge and tiny
+    float shapes stay in range.
+    """
     a, b, s = params.alpha, params.beta, params.total
-    v = a * b / (s * s * (s + 1))
-    c = 2 * (b - a) / (s * (s + 2))
+    v = (a / s) * (b / s) / (s + 1)
+    c = 2 * ((b - a) / s) / (s + 2)
     return SubGammaParams(v=v, c=c)
 
 

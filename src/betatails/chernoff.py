@@ -135,27 +135,23 @@ def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:
 
 
 def _series_remainders(t: float, terms: int) -> tuple[float, float]:
-    """Certified tails of the phi and phi' series past the truncation order.
+    """Certified tails of the phi and phi' series past the truncation order D.
 
     |m_d| <= 1/d! (the centered variable lives in [-1, 1]), so the phi tail is
     below sum_{d>D} |t|^d/d! and the phi' tail below sum_{d>D} |t|^{d-1}/(d-1)!.
+    Past D each term is at most r = |t|/(D+1) times the one before, so the
+    phi tail is at most lead r/(1-r) with lead = |t|^D/D!. Where r >= 1 the
+    ratio bound fails and both tails read inf.
     """
     at = abs(t)
     if at == 0.0:
         return 0.0, 0.0
     log_lead = terms * math.log(at) - log_gamma(terms + 1.0)  # |t|^D / D!
-    if log_lead > 700.0:
+    r = at / (terms + 1.0)
+    if log_lead > 700.0 or r >= 1.0:
         return math.inf, math.inf
     lead = math.exp(log_lead)
-    rem = 0.0
-    term = lead
-    e = terms
-    for _ in range(100_000):
-        e += 1
-        term *= at / e
-        rem += term
-        if term < (rem + lead) * 1e-25:
-            break
+    rem = lead * r / (1.0 - r)
     # phi' tail is the phi tail shifted by one index: rem + |t|^D/D!
     return rem, rem + lead
 

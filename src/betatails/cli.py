@@ -42,6 +42,8 @@ class GridSpec:
     steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"grid start and stop must be finite, got {self.start}:{self.stop}")
         if self.start < 0:
             raise ValueError(f"grid start must be non-negative, got {self.start}")
         if self.stop <= self.start:

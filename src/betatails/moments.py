@@ -6,8 +6,15 @@ order, evaluated in exact rational arithmetic:
     (alpha+beta)^2 (alpha+beta+d-1) mu_d
         = (d-1)(beta-alpha)(alpha+beta) mu_{d-1} + (d-1) alpha beta mu_{d-2}
 
-Two independent routes to the same numbers (binomial expansion over raw
-moments, and a terminating 2F1 representation) are provided purely for
+One loop runs it, divided through by s^2 (s = alpha+beta) so that its two
+shape constants k1 = (beta-alpha)/s and k2 = (alpha/s)(beta/s) are formed once
+per table, not per step:
+
+    x_d = (d-1)(k1 x_{d-1} + k2 x_{d-2}) / (s+d-1),  x_0 = 1, x_1 = 0
+
+No product of two shapes is formed, so huge and tiny float shapes stay in
+range. Two independent routes to the same numbers (binomial expansion over
+raw moments, and a terminating 2F1 representation) are provided purely for
 cross-validation.
 """
 
@@ -65,7 +72,7 @@ class BetaParams:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Central moments mu_d and normalized moments m_d = mu_d / d! for d = 0..dmax.
+    """Central moments mu_0..mu_dmax, from the one recurrence loop.
 
     Built once by central_moments_recursive and immutable afterwards, so a
     table can be shared freely across threads.
@@ -73,7 +80,6 @@ class MomentTable:
 
     params: BetaParams
     central: tuple[Scalar, ...]
-    normalized: tuple[Scalar, ...]
 
 
 def raw_moment(params: BetaParams, d: int) -> Scalar:
@@ -87,7 +93,9 @@ def recursion_coefficients(params: BetaParams, d: int) -> tuple[Scalar, Scalar, 
     """Coefficients (p, q, r) with p(d) mu_d = q(d) mu_{d-1} + r(d) mu_{d-2}.
 
     Each is degree <= 1 in d, which is what makes the moment sequence
-    P-recursive of order 2.
+    P-recursive of order 2. This is the paper's statement of the recurrence;
+    the loop behind central_moments_recursive runs it divided through by s^2
+    and is checked against these coefficients, never calls them.
     """
     s = params.total
     p = s * s * (s + d - 1)
@@ -96,45 +104,32 @@ def recursion_coefficients(params: BetaParams, d: int) -> tuple[Scalar, Scalar, 
     return p, q, r
 
 
-def central_moments_recursive(params: BetaParams, dmax: int) -> MomentTable:
-    """Central moments mu_0..mu_dmax via the order-2 recurrence, one pass, O(dmax).
-
-    Exact rationals when params are exact; plain double arithmetic otherwise
-    (the recurrence is numerically benign: positive denominators, coefficient
-    magnitudes below 1).
-    """
-    if dmax < 0:
-        raise ValueError(f"dmax must be non-negative, got {dmax}")
+def _recurrence(one: Scalar, k1: Scalar, k2: Scalar, s: Scalar, dmax: int) -> list[Scalar]:
+    """x_0..x_dmax of x_d = (d-1)(k1 x_{d-1} + k2 x_{d-2}) / (s+d-1), x_0 = one, x_1 = 0."""
     if dmax > MAX_MOMENT_ORDER:
         raise ValueError(
             f"dmax={dmax} exceeds the supported maximum of {MAX_MOMENT_ORDER}"
         )
-    exact = params.is_exact
-    one: Scalar = Fraction(1) if exact else 1.0
-    zero: Scalar = Fraction(0) if exact else 0.0
-    central = [one, zero]
+    xs = [one, 0 * one]
     for d in range(2, dmax + 1):
-        p, q, r = recursion_coefficients(params, d)
-        central.append((q * central[d - 1] + r * central[d - 2]) / p)
-    central = central[: dmax + 1]
+        xs.append((d - 1) * (k1 * xs[d - 1] + k2 * xs[d - 2]) / (s + d - 1))
+    return xs[: dmax + 1]
 
-    if exact:
-        normalized = [mu / math.factorial(d) for d, mu in enumerate(central)]
-    else:
-        # float path: d! overflows past d=170, so run the scaled recurrence
-        # d (s+d-1) m_d = ((d-1)(b-a)/s) m_{d-1} + (a b / s^2) m_{d-2} instead
-        a, b = float(params.alpha), float(params.beta)
-        s = a + b
-        normalized = [1.0, 0.0]
-        for d in range(2, dmax + 1):
-            m = (
-                (d - 1) * (b - a) / s * normalized[d - 1]
-                + a * b / (s * s) * normalized[d - 2]
-            ) / (d * (s + d - 1))
-            normalized.append(m)
-        normalized = normalized[: dmax + 1]
 
-    return MomentTable(params=params, central=tuple(central), normalized=tuple(normalized))
+def central_moments_recursive(params: BetaParams, dmax: int) -> MomentTable:
+    """Central moments mu_0..mu_dmax via the order-2 recurrence, one pass, O(dmax).
+
+    Runs the module's one loop with k1 = (beta-alpha)/s and
+    k2 = (alpha/s)(beta/s): exact rationals when params are exact; plain
+    double arithmetic otherwise (the recurrence is numerically benign:
+    positive denominators, coefficient magnitudes below 1).
+    """
+    if dmax < 0:
+        raise ValueError(f"dmax must be non-negative, got {dmax}")
+    a, b, s = params.alpha, params.beta, params.total
+    one: Scalar = Fraction(1) if params.is_exact else 1.0
+    central = _recurrence(one, (b - a) / s, (a / s) * (b / s), s, dmax)
+    return MomentTable(params=params, central=tuple(central))
 
 
 def central_moment_binomial_oracle(params: BetaParams, d: int) -> Scalar:
@@ -171,9 +166,9 @@ def standardized_moment(params: BetaParams, d: int) -> float:
     """mu_d / mu_2^(d/2) as a double (skewness at d=3, kurtosis at d=4, ...).
 
     Exact shapes divide as Fractions, then by one float sqrt(mu_2) for odd d.
-    Float shapes run the recurrence on z_k = mu_k / mu_2^(k/2) itself, which
-    stays in range wherever z_d does, as at Beta(1, 1), d = 1100, where mu_d
-    underflows; against exact values it is within 2e-14 relative up to
+    Float shapes run the recurrence loop on z_k = mu_k / mu_2^(k/2) itself,
+    which stays in range wherever z_d does, as at Beta(1, 1), d = 1100, where
+    mu_d underflows; against exact values it is within 2e-14 relative up to
     d = 1500. A value past the largest double raises OverflowError.
     """
     if d < 2:
@@ -184,16 +179,11 @@ def standardized_moment(params: BetaParams, d: int) -> float:
         if d % 2:
             value /= math.sqrt(central[2])
     else:
-        if d > MAX_MOMENT_ORDER:
-            raise ValueError(f"d={d} exceeds the supported maximum of {MAX_MOMENT_ORDER}")
-        # the recurrence over s^2, with mu_2 = (a/s)(b/s)/(s+1): no product
-        # of two shapes is formed, so huge shapes stay in range too
+        # z_k = mu_k / mu_2^(k/2) runs the same loop with k1 / sqrt(mu_2) and
+        # k2 / mu_2 = s + 1, where mu_2 = (a/s)(b/s)/(s+1)
         a, b, s = float(params.alpha), float(params.beta), float(params.total)
-        skew_step = (b - a) / s / math.sqrt((a / s) * (b / s) / (s + 1.0))
-        z_prev, value = 1.0, 0.0
-        for k in range(2, d + 1):
-            z_next = (k - 1) * (skew_step * value + (s + 1.0) * z_prev) / (s + k - 1)
-            z_prev, value = value, z_next
+        mu_2 = (a / s) * (b / s) / (s + 1.0)
+        value = _recurrence(1.0, (b - a) / s / math.sqrt(mu_2), s + 1.0, s, d)[d]
     if not math.isfinite(value):
         raise OverflowError(f"standardized moment d={d} of {params} exceeds the largest double")
     return value

@@ -60,8 +60,22 @@ class TestSubGammaParamsComputation:
         assert sg.c == table.central[3] / table.central[2]
 
     def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError):
-            SubGammaParams(v=0, c=1)
+        for v in (0, math.nan):
+            with pytest.raises(ValueError):
+                SubGammaParams(v=v, c=1)
+
+    # a float a b or s^2 (s+1) overflows to nan at the first shape and
+    # underflows to a zero divisor at the second
+    @pytest.mark.parametrize("a", [1e200, 1e-300])
+    def test_float_shapes_at_the_extremes_track_the_exact_path(self, a):
+        b = 1.5 * a
+        sg = sub_gamma_params(BetaParams(a, b))
+        exact = sub_gamma_params(BetaParams(Fraction(a), Fraction(b)))
+        assert sg.v == pytest.approx(float(exact.v), rel=1e-15, abs=0)
+        assert sg.c == pytest.approx(float(exact.c), rel=1e-15, abs=0)
+        eps = 0.1 * math.sqrt(sg.v)
+        for side in TailSide:
+            assert 0.0 < bernstein_tail_bound(BetaParams(a, b), eps, side) < 1.0
 
 
 class TestSubGammaBound:

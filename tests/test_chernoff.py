@@ -17,9 +17,10 @@ from betatails.chernoff import (
     cumulant_upper_bound,
     best_tilt,
     chernoff_exponent_expansion,
+    _series_remainders,
 )
 from betatails.moments import BetaParams, central_moments_recursive
-from betatails.specfun import ConvergenceError
+from betatails.specfun import ConvergenceError, _series_length
 
 INEQUALITY_GRID = [(2, 98), (2, 998), (5, 5), (98, 2), (1, 1), (2, 3)]
 
@@ -86,7 +87,7 @@ class TestCenteredMgf:
         table = central_moments_recursive(params, 40)
         t = 10.0
         series = 1.0 + math.fsum(
-            float(table.normalized[d]) * t**d for d in range(2, 41)
+            float(table.central[d] / math.factorial(d)) * t**d for d in range(2, 41)
         )
         assert centered_mgf(params, t) == pytest.approx(series, rel=1e-10)
 
@@ -96,7 +97,7 @@ class TestCenteredMgf:
         table = central_moments_recursive(params, 40)
         for t in [-20.0, -12.5, -5.0, -1.0, 1.0, 5.0, 12.5, 20.0]:
             series = 1.0 + math.fsum(
-                float(table.normalized[d]) * t**d for d in range(2, 41)
+                float(table.central[d] / math.factorial(d)) * t**d for d in range(2, 41)
             )
             tail = math.fsum(abs(t) ** d / math.factorial(d) for d in range(41, 160))
             phi = centered_mgf(params, t)
@@ -282,6 +283,18 @@ class TestDerivativeRatioCheck:
         c = float(sub_gamma_params(BetaParams(2, 98)).c)
         with pytest.raises(ValueError):
             derivative_ratio_check(BetaParams(2, 98), 1.0 / c)
+
+    @pytest.mark.parametrize("t", [1e-3, -0.3, 1.0, 7.5, -40.0, 250.0, 1e3])
+    def test_series_remainders_bound_the_tails(self, t):
+        # the closed-form ratio bound against the tails summed at 30 digits
+        terms = _series_length(t)
+        rem_phi, rem_dphi = _series_remainders(t, terms)
+        with mpmath.workdps(30):
+            at = mpmath.mpf(abs(t))
+            tail = mpmath.fsum(at**d / mpmath.factorial(d) for d in range(terms + 1, terms + 400))
+            lead = at**terms / mpmath.factorial(terms)
+            for got, want in ((rem_phi, tail), (rem_dphi, tail + lead)):
+                assert float(want) <= got <= 1.003 * float(want)
 
 
 class TestCumulantUpperBound:

@@ -55,7 +55,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 3).points(log_spacing=True)
 
-    @pytest.mark.parametrize("start,stop,steps", [(-0.1, 1, 5), (0.5, 0.5, 5), (0, 1, 1)])
+    @pytest.mark.parametrize(
+        "start,stop,steps",
+        [(-0.1, 1, 5), (0.5, 0.5, 5), (0, 1, 1),
+         (0, math.inf, 3), (0, math.nan, 3), (math.nan, 1, 3)],
+    )
     def test_invalid_specs(self, start, stop, steps):
         with pytest.raises(ValueError):
             GridSpec(start, stop, steps)
@@ -205,6 +209,13 @@ class TestCompareCommand:
         rc = main(["compare", "--alpha", "2", "--beta", "98",
                    "--grid", "0:0.05", "--out", "x.csv"])
         assert rc == 2
+
+    @pytest.mark.parametrize("grid", ["0:inf:3", "0:nan:3", "nan:1:3"])
+    def test_non_finite_grid_exits_2_naming_the_grid(self, tmp_path, capsys, grid):
+        rc = main(["compare", "--alpha", "2", "--beta", "98",
+                   "--grid", grid, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "grid" in capsys.readouterr().err
 
     def test_soundness_violation_exits_4(self, tmp_path, monkeypatch, capsys):
         # force the exact tail above every bound

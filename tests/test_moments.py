@@ -91,11 +91,6 @@ class TestRecursion:
         assert table.central[0] == 1
         assert table.central[1] == 0
 
-    def test_normalized_consistent_with_central(self):
-        table = central_moments_recursive(BetaParams(2, 3), 20)
-        for d in range(21):
-            assert table.normalized[d] * math.factorial(d) == table.central[d]
-
     def test_order_cap(self):
         with pytest.raises(ValueError):
             central_moments_recursive(BetaParams(2, 3), MAX_MOMENT_ORDER + 1)
@@ -104,14 +99,14 @@ class TestRecursion:
         with pytest.raises(ValueError):
             central_moments_recursive(BetaParams(2, 3), -1)
 
-    def test_float_path_tracks_exact_path(self):
-        exact = central_moments_recursive(BetaParams(2, 3), 12)
-        approx = central_moments_recursive(BetaParams(2.0, 3.0), 12)
-        for d in range(13):
-            assert float(exact.central[d]) == pytest.approx(approx.central[d], rel=1e-12)
-            assert float(exact.normalized[d]) == pytest.approx(
-                approx.normalized[d], rel=1e-12
-            )
+    # a float a b or s^2 leaves the double range at the two extreme shapes;
+    # the scaled constants (b-a)/s and (a/s)(b/s) do not
+    @pytest.mark.parametrize("a,b", [(2.0, 3.0), (1e200, 1e200), (1e-300, 1e-300), (0.37, 2.9e5)])
+    def test_float_path_tracks_exact_path(self, a, b):
+        exact = central_moments_recursive(BetaParams(Fraction(a), Fraction(b)), 12)
+        approx = central_moments_recursive(BetaParams(a, b), 12)
+        for d in range(13):  # abs=0: the moments of the skewed shape are below 1e-12
+            assert float(exact.central[d]) == pytest.approx(approx.central[d], rel=1e-12, abs=0)
 
 
 class TestBinomialOracle:
@@ -183,7 +178,8 @@ class TestScaledRecursion:
     def test_normalized_moments_satisfy_scaled_form(self, a, b):
         params = BetaParams(a, b)
         s = params.total
-        m = central_moments_recursive(params, 20).normalized
+        central = central_moments_recursive(params, 20).central
+        m = [mu / math.factorial(d) for d, mu in enumerate(central)]
         for d in range(2, 21):
             lhs = d * (s + d - 1) * m[d]
             rhs = (d - 1) * (b - a) / s * m[d - 1] + a * b / (s * s) * m[d - 2]

@@ -1,6 +1,7 @@
 """The package's public surface and the layering of its modules."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -36,6 +37,11 @@ def test_top_level_names_are_pinned_and_resolve():
     assert sorted(betatails.__all__) == PUBLIC_API
     for name in betatails.__all__:
         assert getattr(betatails, name) is not None, name
+
+
+def test_moment_table_holds_only_params_and_central():
+    fields = [f.name for f in dataclasses.fields(betatails.MomentTable)]
+    assert fields == ["params", "central"]
 
 
 def _package_imports(path: Path) -> set[str]:
