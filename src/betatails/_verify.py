@@ -450,6 +450,34 @@ def check_exponent_expansion() -> str | None:
     return None
 
 
+def check_chernoff_edge() -> str | None:
+    """Solves converge up to the support edge, and exp(-psi*) bounds the exact tail.
+
+    eps = width (1 - 10^-k), k = 1..6, puts the root up to t = 1e6 (alpha + beta),
+    past any fixed bracket; Beta(527.9, 263.4) crosses v/|c|, where the
+    gaussian first guess diverges, near k = 3. At Beta(2, 98), eps = width
+    - 1e-5, psi* is 1120.459313107545 (mpmath), and t eps - psi cancels from
+    t* eps = 9.6e6: 4e-12 relative is its rounding floor.
+    """
+    for a, b in [(2, 98), (2, 998), (98, 2), (527.9, 263.4)]:
+        params = moments.BetaParams(a, b)
+        width = 1.0 - float(params.mean())
+        for k in range(1, 7):
+            eps = width * (1.0 - 10.0**-k)
+            res = chernoff.chernoff_exponent_numeric(params, eps, bounds.TailSide.UPPER)
+            if not res.converged:
+                return f"Beta({a},{b}) eps={eps}: Chernoff optimizer did not converge"
+            tail = bounds.exact_tail(params, eps, bounds.TailSide.UPPER)
+            if math.exp(-res.exponent) < tail - 1e-10:
+                return f"Beta({a},{b}) eps={eps}: exp(-{res.exponent}) below exact tail {tail}"
+    edge = chernoff.chernoff_exponent_numeric(
+        moments.BetaParams(2, 98), 0.98 - 1e-5, bounds.TailSide.UPPER
+    ).exponent
+    if not abs(edge / 1120.459313107545 - 1.0) <= 4e-12:
+        return f"Beta(2,98) eps=0.98-1e-5: psi*={edge}, mpmath 1120.459313107545"
+    return None
+
+
 CHECKS: list[tuple[str, object]] = [
     ("ORACLE-EQUIVALENCE", check_oracle_equivalence),
     ("SIGN-ODD-MOMENTS", check_sign_odd_moments),
@@ -476,6 +504,7 @@ CHECKS: list[tuple[str, object]] = [
     ("EXPONENT-DOMINATES-BOUND", check_exponent_dominates_bound),
     ("TILT-IDENTITY", check_tilt_identity),
     ("EXPONENT-EXPANSION", check_exponent_expansion),
+    ("CHERNOFF-EDGE", check_chernoff_edge),
 ]
 
 

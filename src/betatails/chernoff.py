@@ -10,7 +10,7 @@ remainder from |mu_d| <= 1 backs the derivative-ratio inequality checks.
 The Cramer-Chernoff exponent psi*(eps) = sup_{t>=0} (t eps - psi(t)) is
 attained where psi'(t) = eps. psi'' is a tilted variance in (0, 1/4], so
 safeguarded Newton steps on psi'(t) = eps reach the root in a few kernel
-evaluations; past the bracket cap t = 1e5 the solve stops unconverged.
+evaluations at any t.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from .specfun import _centered_series, _cgf_kernel, _series_length, log_gamma
 # tolerance the verification suite runs at.
 CHECK_SLACK = 1e-10
 
-_BRACKET_T_CAP = 1e5
-# psi'(t) within this relative distance of eps, or a bracket this relative
-# width, leaves the exponent exact to rounding: its error is quadratic in both
+# psi'(t) within this fraction of eps and of its gap 1 - mu - eps to the edge, or
+# a bracket this relative width, leaves the exponent exact to rounding (quadratic error)
 _SOLVE_RTOL = 1e-13
 _SOLVE_STEPS = 200
 
@@ -76,13 +75,14 @@ def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) ->
     optimization path exists. Valid for 0 < eps < support width on the chosen
     side; exp(-exponent) then upper-bounds the exact tail probability.
 
-    Newton steps start from eps / (v + c eps) clamped to [1e-3, 1e5] and keep
-    a bracket psi'(lo) < eps <= psi'(hi); a step leaving it bisects. Until
-    the root is bracketed a step at most doubles t, and one past the cap
-    t = 1e5 returns converged=False without evaluating there. An evaluation
-    at the cap sums about 18 sqrt(t) terms of the 1F1 series. exponent is
-    the largest t eps - psi(t) evaluated, at least 0, and t_star the t that
-    gave it.
+    Newton steps start from eps / (v + c eps), at most the large-t root
+    estimate b / (1 - mu - eps) and at least 1e-3, and keep a bracket
+    psi'(lo) < eps <= psi'(hi); a step leaving it bisects. Until the root is
+    bracketed a step at most doubles t. converged=False means only that the
+    step budget ran out; a root whose 1F1 series peaks at index 2^53 or past
+    it (eps within about b / 9e15 of the width) raises ConvergenceError.
+    exponent is the largest t eps - psi(t) evaluated, at least 0, and t_star
+    the t that gave it.
     """
     if side is TailSide.LOWER:
         return chernoff_exponent_numeric(params.swapped(), eps, TailSide.UPPER)
@@ -95,8 +95,9 @@ def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) ->
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
     t0 = eps / (v + c * eps) if v + c * eps > 0 else eps / v
-    # t0 diverges as eps nears v/|c| when c < 0
-    t = min(max(t0, 1e-3), _BRACKET_T_CAP)
+    # t0 diverges as eps nears v/|c| when c < 0; past its root psi' nears
+    # 1 - mu - b/t, so the root lies near b / (1 - mu - eps) at large t
+    t = max(min(t0, b / (1.0 - mu - eps)), 1e-3)
     lo, hi = 0.0, math.inf
     best_f = best_t = 0.0
     for _ in range(_SOLVE_STEPS):
@@ -108,14 +109,12 @@ def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) ->
             lo = t
         else:
             hi = t
-        if abs(slope - eps) <= _SOLVE_RTOL * eps or hi - lo <= _SOLVE_RTOL * lo:
+        if abs(slope - eps) <= _SOLVE_RTOL * min(eps, 1 - mu - eps) or hi - lo <= _SOLVE_RTOL * lo:
             return ChernoffResult(exponent=best_f, t_star=best_t, converged=True)
-        # psi'' rounded to <= 0 at large t falls back to a doubling or a bisection
+        # psi'' rounded to <= 0 falls back to a doubling or a bisection
         t = t + (eps - slope) / curvature if curvature > 0.0 else math.inf
         if hi == math.inf:
             t = min(t, 2.0 * lo)
-            if t > _BRACKET_T_CAP:
-                break
         elif not lo < t < hi:
             t = 0.5 * (lo + hi)
     return ChernoffResult(exponent=best_f, t_star=best_t, converged=False)
@@ -174,10 +173,10 @@ def derivative_ratio_check(params: BetaParams, t: float) -> bool:
         rhs = v * t / (1.0 - c * t)
     else:
         rhs = v * t
-    terms = _series_length(t)
-    sigma, excess, _ = _centered_series(float(params.alpha), float(params.beta), t, terms)
+    a, b = float(params.alpha), float(params.beta)
+    sigma, excess, _, order = _centered_series(a, b, t, _series_length(t))
     dphi = (2.0 * sigma + excess) / t
-    rem_phi, rem_dphi = _series_remainders(t, terms)
+    rem_phi, rem_dphi = _series_remainders(t, order)
     phi_low = 1.0 + sigma - rem_phi
     if phi_low <= 0.0:
         return False

@@ -162,3 +162,8 @@ def test_criterion_8_specfun_accuracy():
                 assert ratio == pytest.approx(x, rel=1e-12)
         finally:
             mp.mp.dps = old_dps
+
+
+def test_criterion_9_chernoff_edge():
+    with criterion("9 CHERNOFF EXPONENT TO THE SUPPORT EDGE", budget_s=5.0):
+        run_checks("CHERNOFF-EDGE")

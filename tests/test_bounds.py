@@ -1,6 +1,7 @@
 """Tests for the closed-form tail bounds and the sub-gaussian competitor."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -261,12 +262,22 @@ class TestSubgaussianProxy:
         )
 
     def test_root_past_a_fixed_bracket_limit(self):
-        # the root lies near t = 5.8e7, where the window sums about 65,000
-        # terms above the series' peak: more than the 10,000-term floor of the
-        # kernel's budget, which is 4t + 2000 there
+        # the root lies near t = 5.8e7, where a walk by single terms would
+        # sum about 65,000 of them above the series' peak: more than the
+        # 10,000-term floor of the kernel's budget, which is 4t + 2000 there
         p = BetaParams(1, 1e7)
         proxy = subgaussian_optimal_proxy(p)
         assert float(sub_gamma_params(p).v) <= proxy <= 1.0 / (4.0 * (1e7 + 2.0))
+
+    @pytest.mark.parametrize("a,b", [(1, 1e8), (2174, 5.5e8)])
+    def test_huge_shape_root_is_fast(self, a, b):
+        # the root lies near t ~ s, where the series' bell spans about
+        # 18 sqrt(s) terms; the kernel samples it at about 40 points
+        p = BetaParams(a, b)
+        start = time.perf_counter()
+        proxy = subgaussian_optimal_proxy(p)
+        assert time.perf_counter() - start < 1.0
+        assert float(sub_gamma_params(p).v) <= proxy <= 1.0 / (4.0 * (a + b + 1.0))
 
     def test_rising_objective_reports_steps_and_limit(self, monkeypatch):
         # g > 0 everywhere: doubling from 1e-12 passes 1e3 (2 + 98 + 1) at step 56

@@ -26,7 +26,8 @@ INEQUALITY_GRID = [(2, 98), (2, 998), (5, 5), (98, 2), (1, 1), (2, 3)]
 
 # Both kernel branches, and alpha > beta on the upper side (the gaussian branch).
 SOLVE_ORACLE_SHAPES = [(2, 98), (2, 998), (5, 5), (2, 3), (98, 2), (0.5, 0.7), (527.9, 263.4)]
-# deviations as fractions of the upper support width; every root lies below t = 1e5
+# deviations as fractions of the upper support width; every root lies below t = 1e5,
+# where the mpmath oracle's root search stays quick
 SOLVE_ORACLE_FRACTIONS = [1e-3, 1e-2, 0.1, 0.5, 0.9]
 
 
@@ -118,11 +119,36 @@ class TestCgf:
         assert cgf(p, 1.0) == pytest.approx(math.log(centered_mgf(p, 1.0)), rel=1e-12)
 
     def test_large_tilt_past_the_iteration_cap(self):
-        # a sum from k = 0 would need about 2t terms; the window around the
-        # series' peak sums about 3,800 above it, well inside the 4t + 2000
-        # term budget
+        # a sum from k = 0 would need about 2t terms; the walk out from the
+        # series' peak samples its bell at about 40 points, well inside the
+        # 4t + 2000 term budget
         expected = _mp_cgf(2, 98, 2e5)
         assert cgf(BetaParams(2, 98), 2e5) == pytest.approx(float(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e11, 1e15])
+    def test_huge_tilt_is_fast_and_exact(self, t):
+        # a walk by single terms would sum about 18 sqrt(t) of them
+        start = time.perf_counter()
+        psi = cgf(BetaParams(2, 98), t)
+        assert time.perf_counter() - start < 0.1
+        assert psi == pytest.approx(float(_mp_cgf(2, 98, t)), rel=1e-12)
+
+    def test_huge_shapes_stay_finite(self):
+        # a * b / s^2 formed in floats would overflow to inf / inf = nan here
+        p = BetaParams(1e200, 1.5e200)
+        v = float(sub_gamma_params(p).v)
+        psi = cgf(p, 1.0)
+        assert math.isfinite(psi)
+        assert psi == pytest.approx(v / 2.0, rel=1e-12)
+        assert derivative_ratio_check(p, 1.0)
+
+    def test_centered_series_stops_on_its_tail_bound(self):
+        # 2.8 t + 60 terms would be 2.8e9 here; the terms fall like (t^2 / s)^(d/2)
+        start = time.perf_counter()
+        psi = cgf(BetaParams(1e30, 1e30), 1e9)
+        assert time.perf_counter() - start < 1.0
+        v = 1.0 / (4.0 * (2e30 + 1.0))
+        assert psi == pytest.approx(v * 1e18 / 2.0, rel=1e-12)
 
     def test_peak_past_2_53_is_loud_and_fast(self):
         # past 2^53 k += 1.0 no longer moves k, so the series would never end
@@ -209,25 +235,35 @@ class TestChernoffExponent:
             chernoff_exponent_numeric(BetaParams(2, 98), eps, TailSide.UPPER)
 
     def test_budget_exhaustion_is_flagged_not_raised(self):
-        # a deviation this close to the support edge pushes the maximizer
-        # past the bracketing cap; the result is still a valid exponent
+        # a deviation this close to the support edge puts the maximizer near
+        # t = 1e6 and t = 1e14, far past any fixed bracket; the solve
+        # converges there. At the gap of 1e-12, t eps - psi(t) cancels from
+        # about 1e14 down to 2702, so its rounding, about t eps 2^-52, is the
+        # floor of the agreement there
         p = BetaParams(2, 98)
-        eps = 0.98 * (1.0 - 1e-12)
-        res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
-        assert not res.converged
-        assert res.exponent >= 0.0
+        for gap in (1e-4, 1e-12):
+            eps = 0.98 * (1.0 - gap)
+            start = time.perf_counter()
+            res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
+            assert time.perf_counter() - start < 5.0
+            assert res.converged
+            floor = res.t_star * eps * 2.0**-52 if gap < 1e-4 else 0.0
+            expected = float(_mp_chernoff(2, 98, eps))
+            assert res.exponent == pytest.approx(expected, rel=1e-12, abs=floor)
+            assert math.exp(-res.exponent) >= exact_tail(p, eps, TailSide.UPPER) - 1e-10
 
     @pytest.mark.parametrize("eps", [0.3325, 0.33259])
     def test_first_guess_past_the_cap_starts_at_the_cap(self, eps):
         # just below v/|c| = 0.332597 on the gaussian branch the first guess
-        # eps / (v + c eps) is 4e6 and 6e7; starting there summed a series of
-        # about 2 t0 terms before the bracket gave up
+        # eps / (v + c eps) is 4e6 and 6e7, past the roots 7.1e5 and 9.4e5;
+        # the large-t estimate b / (1 - mu - eps) caps it, and the solve
+        # converges there
         p = BetaParams(527.9, 263.4)
         start = time.perf_counter()
         res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
         assert time.perf_counter() - start < 5.0
-        assert res.t_star <= 1e5
-        assert not res.converged
+        assert res.converged
+        assert res.exponent == pytest.approx(float(_mp_chernoff(527.9, 263.4, eps)), rel=1e-12)
         assert math.exp(-res.exponent) >= exact_tail(p, eps, TailSide.UPPER) - 1e-10
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from betatails import _verify, bounds
+from betatails import _verify, bounds, chernoff
 from betatails.cli import (
     CSV_HEADER,
     ComparisonRow,
@@ -186,9 +186,12 @@ class TestCompareCommand:
         for r in ratios:
             assert r == pytest.approx(ratios[0], rel=1e-9)
 
-    def test_unconverged_point_is_reported_on_stderr(self, tmp_path, capsys):
-        # the support width of Beta(2, 98) is 0.98: the last point's tilt
-        # lies far past the optimizer's bracket cap, the first one's does not
+    def test_unconverged_point_is_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # the support width of Beta(2, 98) is 0.98: from their first guesses
+        # the solve takes 7 steps at the first point and 30 at the last, whose
+        # tilt is near 1e9, so a budget of 10 steps leaves only the last one
+        # unconverged
+        monkeypatch.setattr(chernoff, "_SOLVE_STEPS", 10)
         out = tmp_path / "edge.csv"
         args = ["compare", "--alpha", "2", "--beta", "98", "--grid", "0.5:0.9799999:2"]
         assert main(args + ["--out", str(out)]) == 0

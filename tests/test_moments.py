@@ -276,7 +276,7 @@ class TestStandardizedMoments:
 # Hard Chernoff-sweep shapes, the paper's shape and two others. With each
 # shape, the tilts just below and just above the one where the largest term
 # of the 1F1 series reaches index 10, where the kernel switches from one
-# forward pass to the window around that term (the other shapes reach it
+# forward pass to the walk out from that term (the other shapes reach it
 # before the 1F1 branch starts at t^2 = 16 (alpha+beta+1)).
 KERNEL_SHAPES = {
     (0.5, 0.7): (10.73, 10.75),
@@ -316,3 +316,14 @@ class TestCgfKernelOracle:
             assert abs(psi - ref) <= 2e-15 * t
             assert dpsi == pytest.approx(float(dref), rel=1e-12, abs=0.0)
             assert d2psi == pytest.approx(float(d2ref), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("a,b,t", [(2041.7, 0.0016, 209.0), (9337.7, 0.3, 555.0)])
+    def test_matches_mpmath_at_extreme_shape_ratios(self, a, b, t):
+        # psi' = b E[k / (s (s+k))] under the tilted weights does not cancel
+        # as the shape ratio grows; t psi' as a difference of the mean index
+        # and t would lose digits in proportion to it
+        psi, dpsi, d2psi, _ = _cgf_kernel(a, b, t)
+        ref, dref, d2ref = _mp_cgf(a, b, t)
+        assert abs(psi - ref) <= 2e-15 * t
+        assert dpsi == pytest.approx(float(dref), rel=1e-12, abs=0.0)
+        assert d2psi == pytest.approx(float(d2ref), rel=1e-9, abs=0.0)

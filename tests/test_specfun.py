@@ -199,7 +199,8 @@ class TestKummer1F1:
                 assert kummer_1f1(a, c, t) == pytest.approx(ref, rel=1e-14, abs=0.0), (a, c, t)
 
     def test_iteration_cap_is_loud(self, monkeypatch):
-        # the window needs more than 220 terms above the peak here
+        # each side of the walk out from the peak spans about 220 terms here,
+        # in samples of 12
         monkeypatch.setattr(specfun, "_cgf_budget", lambda t: 150)
         with pytest.raises(ConvergenceError, match="150 terms"):
             kummer_1f1(2.0, 100.0, 600.0)
