@@ -369,12 +369,12 @@ def check_cgf_convexity() -> str | None:
 
 
 def _inequality_points():
-    """(a, b, params, sg, t) at log-spaced tilts from 1e-3 to 0.95/c, or to 20 if c <= 0."""
+    """(a, b, params, sg, t) at 50 log-spaced tilts from 1e-3 to 0.95/c, or to 1e4 if c <= 0."""
     for a, b in _INEQUALITY_PAIRS:
         params = moments.BetaParams(Fraction(a), Fraction(b))
         sg = bounds.sub_gamma_params(params)
         c = float(sg.c)
-        for t in _logspace(1e-3, 0.95 / c if c > 0 else 20.0, 50):
+        for t in _logspace(1e-3, 0.95 / c if c > 0 else 1e4, 50):
             yield a, b, params, sg, t
 
 

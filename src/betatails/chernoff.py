@@ -3,9 +3,9 @@
 Write Z = X - E[X]. The moment generating function has the closed form
 phi(t) = exp(-t mu) 1F1(alpha; alpha+beta; t) and, equivalently, the
 everywhere-convergent series 1 + sum_{d>=2} m_d t^d over normalized central
-moments m_d = mu_d / d!. `specfun._cgf_kernel` sums whichever serves at t
-into psi = log phi and its derivatives; the series with a certified
-remainder from |mu_d| <= 1 backs the derivative-ratio inequality checks.
+moments m_d = mu_d / d!. `specfun._cgf_kernel` sums whichever serves at t,
+each until a bound on its own left-out tail is negligible, into psi = log phi
+and its derivatives; every function here reads them from it.
 
 The Cramer-Chernoff exponent psi*(eps) = sup_{t>=0} (t eps - psi(t)) is
 attained where psi'(t) = eps. psi'' is a tilted variance in (0, 1/4], so
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from .bounds import SubGammaParams, TailSide, sub_gamma_params
 from .moments import BetaParams
-from .specfun import _centered_series, _cgf_kernel, _series_length, log_gamma
+from .specfun import _cgf_kernel
 
-# Slack applied when certifying the derivative-ratio inequality; matches the
+# Slack applied when checking the derivative-ratio inequality; matches the
 # tolerance the verification suite runs at.
 CHECK_SLACK = 1e-10
 
@@ -126,45 +126,23 @@ def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:
     psi*(eps) matches this to O(eps^4) as eps -> 0, which is what certifies
     (v, c) as the best possible sub-gamma parameters.
     """
-    if not eps >= 0:  # rejects nan too
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    if not 0.0 <= eps < math.inf:  # rejects nan too
+        raise ValueError(f"eps must be non-negative and finite, got {eps}")
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
     return eps * eps / (2.0 * v) - c * eps**3 / (6.0 * v * v)
 
 
-def _series_remainders(t: float, terms: int) -> tuple[float, float]:
-    """Certified tails of the phi and phi' series past the truncation order D.
-
-    |m_d| <= 1/d! (the centered variable lives in [-1, 1]), so the phi tail is
-    below sum_{d>D} |t|^d/d! and the phi' tail below sum_{d>D} |t|^{d-1}/(d-1)!.
-    Past D each term is at most r = |t|/(D+1) times the one before, so the
-    phi tail is at most lead r/(1-r) with lead = |t|^D/D!. Where r >= 1 the
-    ratio bound fails and both tails read inf.
-    """
-    at = abs(t)
-    if at == 0.0:
-        return 0.0, 0.0
-    log_lead = terms * math.log(at) - log_gamma(terms + 1.0)  # |t|^D / D!
-    r = at / (terms + 1.0)
-    if log_lead > 700.0 or r >= 1.0:
-        return math.inf, math.inf
-    lead = math.exp(log_lead)
-    rem = lead * r / (1.0 - r)
-    # phi' tail is the phi tail shifted by one index: rem + |t|^D/D!
-    return rem, rem + lead
-
-
 def derivative_ratio_check(params: BetaParams, t: float) -> bool:
-    """Certified check of the derivative-ratio inequality at a single t > 0.
+    """Check of the derivative-ratio inequality at a single finite t > 0.
 
     beta >= alpha: phi'(t)/phi(t) <= v t / (1 - c t), valid for t < 1/c;
-    alpha > beta: phi'(t)/phi(t) <= v t. The ratio is evaluated from the
-    truncated moment series with its certified remainder folded in, so a True
-    result is not an artifact of truncation.
+    alpha > beta: phi'(t)/phi(t) <= v t. phi'/phi is psi'(t) from
+    `specfun._cgf_kernel`, within that kernel's documented tolerance, and True
+    means it is at most the right-hand side plus CHECK_SLACK.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:  # rejects nan too
+        raise ValueError(f"t must be positive and finite, got {t}")
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
     if params.beta >= params.alpha:
@@ -173,15 +151,7 @@ def derivative_ratio_check(params: BetaParams, t: float) -> bool:
         rhs = v * t / (1.0 - c * t)
     else:
         rhs = v * t
-    a, b = float(params.alpha), float(params.beta)
-    sigma, excess, _, order = _centered_series(a, b, t, _series_length(t))
-    dphi = (2.0 * sigma + excess) / t
-    rem_phi, rem_dphi = _series_remainders(t, order)
-    phi_low = 1.0 + sigma - rem_phi
-    if phi_low <= 0.0:
-        return False
-    lhs_high = (dphi + rem_dphi) / phi_low
-    return lhs_high <= rhs + CHECK_SLACK
+    return _cgf_kernel(float(params.alpha), float(params.beta), t)[1] <= rhs + CHECK_SLACK
 
 
 def cumulant_upper_bound(sg: SubGammaParams, t: float) -> float:
@@ -191,8 +161,8 @@ def cumulant_upper_bound(sg: SubGammaParams, t: float) -> float:
     c > 0; a short series evaluation takes over for tiny c t where the direct
     expression would cancel.
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:  # rejects nan too
+        raise ValueError(f"t must be non-negative and finite, got {t}")
     v, c = float(sg.v), float(sg.c)
     if c <= 0.0:
         return v * t * t / 2.0
@@ -210,7 +180,7 @@ def best_tilt(sg: SubGammaParams, eps: float) -> float:
 
     Always below 1/c when c > 0, so the cumulant bound stays finite there.
     """
-    if not eps >= 0:  # rejects nan too
-        raise ValueError(f"eps must be non-negative, got {eps}")
+    if not 0.0 <= eps < math.inf:  # rejects nan too
+        raise ValueError(f"eps must be non-negative and finite, got {eps}")
     v, c = float(sg.v), float(sg.c)
     return eps / (c * eps + v)

@@ -126,8 +126,8 @@ def _ibeta_direct(a: float, b: float, x: float) -> float:
     return math.exp(log_prefactor) * _beta_cont_frac(a, b, x) / a
 
 
-def _centered_series(a: float, b: float, t: float, terms: int = 2) -> tuple[float, float, float, int]:
-    """Series for phi(t) - 1, t phi'(t) - 2 (phi(t) - 1) and t^2 phi''(t), and its order.
+def _centered_series(a: float, b: float, t: float) -> tuple[float, float, float]:
+    """Series for phi(t) - 1, t phi'(t) - 2 (phi(t) - 1) and t^2 phi''(t).
 
     phi is the centered MGF of Beta(a, b). Works termwise on M_d = m_d t^d,
     which the order-2 recurrence for the normalized central moments m_d
@@ -140,8 +140,8 @@ def _centered_series(a: float, b: float, t: float, terms: int = 2) -> tuple[floa
     t^2 phi'' = sum_{d>=2} d (d-1) M_d. Past order D each factor (|k1| (d-1) +
     |k2|) / (d (s+d-1)) is at most r = (|k1| + |k2| / (D+1)) / (s+D); once r < 1,
     |M_{D+i}| <= max(|M_D|, |M_{D-1}|) r^ceil(i/2). The sum stops at the first
-    multiple of 8, D >= terms, where the tail sum_{d>D} d^2 |M_d| this bounds
-    is below 2^-54 of all three sums, and returns D.
+    multiple of 8 where the tail sum_{d>D} d^2 |M_d| this bounds is below
+    2^-54 of all three sums.
     """
     s = a + b
     coeff1 = (b - a) / s * t
@@ -157,16 +157,11 @@ def _centered_series(a: float, b: float, t: float, terms: int = 2) -> tuple[floa
         excess += (d - 2) * m_d
         curvature += d * (d - 1) * m_d
         m_prev2, m_prev1 = m_prev1, m_d
-        if d >= terms and d % 8 == 0:  # every 8th order, where the check costs little
+        if d % 8 == 0:  # every 8th order, where the check costs little
             r = (bound1 + bound2 / (d + 1.0)) / (s + d)
             tail = max(abs(m_d), abs(m_prev2)) * (d + 2.0) ** 2 * r * (1.0 + r)
             if r < 1.0 and 2.0**55 * tail <= (1.0 - r) ** 3 * min(sigma, abs(excess), curvature):
-                return sigma, excess, curvature, d
-
-
-def _series_length(t: float) -> int:
-    # e*|t| terms reach the decay regime; the margin drives the remainder to ~0
-    return max(40, int(2.8 * abs(t)) + 60)
+                return sigma, excess, curvature
 
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -257,7 +252,7 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
     """
     s = a + b
     if t * t <= 16.0 * (s + 1.0):
-        sigma, excess, curvature, _ = _centered_series(a, b, t)
+        sigma, excess, curvature = _centered_series(a, b, t)
         phi = 1.0 + sigma
         psi = math.log1p(sigma)
         t_dpsi = (2.0 * sigma + excess) / phi

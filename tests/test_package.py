@@ -70,6 +70,14 @@ def test_specfun_imports_no_other_module_of_the_package():
     assert imports["specfun"] == set()
 
 
+def test_only_specfun_sums_the_centered_series():
+    # one CGF evaluator: everything else reads psi and its derivatives from
+    # specfun._cgf_kernel, whose series branch stops on its own tail bound
+    src = Path(betatails.__file__).parent
+    users = {p.name for p in src.glob("*.py") if "_centered_series" in p.read_text(encoding="utf-8")}
+    assert users == {"specfun.py"}
+
+
 def _harness_function_names() -> list[str]:
     """The "layer.name" entries of perfbench/run.py's TRACED_FUNCTIONS and CLI_FUNCTIONS."""
     run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
