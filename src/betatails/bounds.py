@@ -83,10 +83,13 @@ def bernstein_tail_bound(params: BetaParams, eps: float, side: TailSide) -> floa
     """
     if side is TailSide.LOWER:
         return bernstein_tail_bound(params.swapped(), eps, TailSide.UPPER)
-    sg = sub_gamma_params(params)
-    if params.beta < params.alpha:
-        sg = SubGammaParams(v=sg.v, c=0)
-    return sub_gamma_bound(sg, eps)
+    return sub_gamma_bound(_upper_bound_params(params, sub_gamma_params(params)), eps)
+
+
+def _upper_bound_params(params: BetaParams, sg: SubGammaParams) -> SubGammaParams:
+    """The (v, c) of the upper-side bound from sg = sub_gamma_params(params):
+    sg itself when beta >= alpha, c = 0 (the gaussian shape) when beta < alpha."""
+    return sg if params.beta >= params.alpha else SubGammaParams(v=sg.v, c=0)
 
 
 def exact_tail(params: BetaParams, eps: float, side: TailSide) -> float:

@@ -93,14 +93,31 @@ def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) ->
             f"eps must lie strictly inside (0, {1.0 - mu}) for the upper tail, got {eps}"
         )
     sg = sub_gamma_params(params)
-    v, c = float(sg.v), float(sg.c)
-    t0 = eps / (v + c * eps) if v + c * eps > 0 else eps / v
-    # t0 diverges as eps nears v/|c| when c < 0; past its root psi' nears
+    return _solve(a, b, eps, float(sg.v), float(sg.c))[0]
+
+
+def _solve(
+    a: float, b: float, eps: float, v: float, c: float, t_start: float | None = None
+) -> tuple[ChernoffResult, float, float, float]:
+    """The Newton loop of chernoff_exponent_numeric for Beta(a, b), upper tail.
+
+    Starts from t_start, or from the first guess eps / (v + c eps) when it is
+    None; either is clamped to [1e-3, b / (1 - mu - eps)]. Requires
+    0 < eps < 1 - mu, mu = a / (a + b). Returns the result and the last t
+    evaluated with psi'(t) and psi''(t) there, from which a caller can
+    predict the root at a nearby eps.
+    """
+    mu = a / (a + b)
+    if t_start is None:
+        t_start = eps / (v + c * eps) if v + c * eps > 0 else eps / v
+    # the first guess diverges as eps nears v/|c| when c < 0; past its root psi' nears
     # 1 - mu - b/t, so the root lies near b / (1 - mu - eps) at large t
-    t = max(min(t0, b / (1.0 - mu - eps)), 1e-3)
+    t = max(min(t_start, b / (1.0 - mu - eps)), 1e-3)
     lo, hi = 0.0, math.inf
     best_f = best_t = 0.0
+    converged = False
     for _ in range(_SOLVE_STEPS):
+        t_last = t
         psi, slope, curvature, _ = _cgf_kernel(a, b, t)
         f = t * eps - psi
         if f > best_f:
@@ -110,14 +127,16 @@ def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) ->
         else:
             hi = t
         if abs(slope - eps) <= _SOLVE_RTOL * min(eps, 1 - mu - eps) or hi - lo <= _SOLVE_RTOL * lo:
-            return ChernoffResult(exponent=best_f, t_star=best_t, converged=True)
+            converged = True
+            break
         # psi'' rounded to <= 0 falls back to a doubling or a bisection
         t = t + (eps - slope) / curvature if curvature > 0.0 else math.inf
         if hi == math.inf:
             t = min(t, 2.0 * lo)
         elif not lo < t < hi:
             t = 0.5 * (lo + hi)
-    return ChernoffResult(exponent=best_f, t_star=best_t, converged=False)
+    result = ChernoffResult(exponent=best_f, t_star=best_t, converged=converged)
+    return result, t_last, slope, curvature
 
 
 def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -187,10 +188,10 @@ class TestCompareCommand:
             assert r == pytest.approx(ratios[0], rel=1e-9)
 
     def test_unconverged_point_is_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
-        # the support width of Beta(2, 98) is 0.98: from their first guesses
-        # the solve takes 7 steps at the first point and 30 at the last, whose
-        # tilt is near 1e9, so a budget of 10 steps leaves only the last one
-        # unconverged
+        # the support width of Beta(2, 98) is 0.98: the first point's solve
+        # takes 7 steps from its first guess; the last point's, warm-started
+        # at twice the first one's last tilt (404), takes 28 to its tilt near
+        # 1e9, so a budget of 10 steps leaves only the last one unconverged
         monkeypatch.setattr(chernoff, "_SOLVE_STEPS", 10)
         out = tmp_path / "edge.csv"
         args = ["compare", "--alpha", "2", "--beta", "98", "--grid", "0.5:0.9799999:2"]
@@ -202,6 +203,20 @@ class TestCompareCommand:
         assert "eps=0.9799999" in warnings[0] and "t_star=" in warnings[0]
         rows = comparison_rows(BetaParams(2, 98), GridSpec(0.5, 0.9799999, 2))
         assert out.read_text(encoding="utf-8") == render_csv(rows)
+
+    @pytest.mark.parametrize("alpha,beta,grid", [
+        # the grid ends at the float width 1 - a/(a+b), one ulp below the
+        # exact mean's rounded width: that point is past the support
+        ("1/10", "1/7", "0:0.588235294117647:5"),
+        ("1e6", "1", "0:9e-7:4"),
+        ("1e7", "1", "0:9e-8:4"),
+    ])
+    def test_grids_to_the_support_edge_exit_0(self, tmp_path, capsys, alpha, beta, grid):
+        out = tmp_path / "edge.csv"
+        assert main(["compare", "--alpha", alpha, "--beta", beta,
+                     "--grid", grid, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == int(grid.split(":")[2]) + 1
 
     def test_unwritable_path_exits_3(self, tmp_path, capsys):
         rc = main(["compare", "--alpha", "2", "--beta", "98",
@@ -311,3 +326,62 @@ class TestComparisonRowsApi:
         assert rows[0].subgaussian == 1.0
         assert rows[0].chernoff == 1.0
         assert 0.0 < rows[0].exact < 1.0
+
+    @pytest.mark.parametrize("alpha,beta,grid,log_spacing", [
+        (2, 98, GridSpec(0.0, 0.05, 100), False),
+        (2, 998, GridSpec(0.0, 0.005, 100), False),
+        (5, 5, GridSpec(0.0, 0.45, 100), False),
+        (98, 2, GridSpec(0.0, 0.0196, 100), False),
+        (300, 20, GridSpec(0.0, 0.0625, 100), False),
+        (2, 998, GridSpec(0.0, 0.998, 400), False),
+        (2, 98, GridSpec(1e-6, 0.97, 200), True),
+    ])
+    def test_warm_started_cells_match_cold_solves(self, alpha, beta, grid, log_spacing, capsys):
+        # the kernel's psi is within 6e-16 t, so two stops near t* may read
+        # exponents 1e-15 max(1, t*) apart; cells that round to subnormals
+        # may differ by one more subnormal step
+        params = BetaParams(alpha, beta)
+        rows = comparison_rows(params, grid, log_spacing)
+        warned = set(re.findall(r"eps=(\S+),", capsys.readouterr().err))
+        width = 1.0 - alpha / (alpha + beta)
+        solved = [row for row in rows if 0.0 < row.epsilon < width]
+        assert len(solved) >= len(rows) - 2
+        for row in solved:
+            cold = chernoff.chernoff_exponent_numeric(params, row.epsilon, bounds.TailSide.UPPER)
+            cell = math.exp(-cold.exponent)
+            tol = 1e-15 * max(1.0, cold.t_star)
+            assert abs(row.chernoff - cell) <= tol * cell + math.ulp(0.0), row
+            assert (repr(row.epsilon) in warned) == (not cold.converged)
+
+    def test_warm_start_halves_kernel_evaluations(self, monkeypatch):
+        # from cold first guesses the paper grids took 6.2 evaluations a solve
+        calls = 0
+        kernel = chernoff._cgf_kernel
+
+        def counted(a, b, t):
+            nonlocal calls
+            calls += 1
+            return kernel(a, b, t)
+
+        monkeypatch.setattr(chernoff, "_cgf_kernel", counted)
+        for alpha, beta, stop in [(2, 98, 0.05), (2, 998, 0.005)]:
+            calls = 0
+            comparison_rows(BetaParams(alpha, beta), GridSpec(0.0, stop, 100))
+            assert calls <= 3.5 * 99  # every point but eps = 0 is solved
+
+    def test_sub_gamma_params_formed_once_per_table(self, monkeypatch):
+        calls = 0
+        sub_gamma_params = bounds.sub_gamma_params
+
+        def counted(params):
+            nonlocal calls
+            calls += 1
+            return sub_gamma_params(params)
+
+        monkeypatch.setattr(bounds, "sub_gamma_params", counted)
+        counts = []
+        for steps in (3, 100):
+            calls = 0
+            comparison_rows(BetaParams(2, 98), GridSpec(0.0, 0.05, steps))
+            counts.append(calls)
+        assert counts[0] == counts[1]
