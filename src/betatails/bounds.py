@@ -140,14 +140,23 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
     unique non-zero root of g (Marchal and Arbel, "On the sub-Gaussianity of
     the Beta and Dirichlet distributions", ECP 22, 2017), at t > 0 when
     beta > alpha and for alpha > beta at that root for 1 - X. Symmetric
-    shapes attain it as t -> 0: the proxy is v. The root is bracketed by
-    doubling t from 1e-12, then refined by Illinois steps to 1e-9 relative
-    width, where f, flat at its peak, is exact to rounding. A root below
-    t = 1e-12 leaves f within t/3 of v relative (|c| <= 1): v is returned.
-    The root grows with the shape: over shapes from 1e-3 to 1e5 the bracket
-    reaches at most 18 (alpha+beta+1). A bracket past t = 1e3 (alpha+beta+1),
-    no root in 200 steps or a value 1e-9 over Elder's proxy
-    1/(4 (alpha+beta+1)) (arXiv:1611.00065) raises ConvergenceError.
+    shapes attain it as t -> 0: the proxy is v.
+
+    Safeguarded Newton steps on g, with g' = t psi'' - psi' from the same
+    kernel evaluation, start at t = 4 sqrt(alpha+beta+1), the centered
+    series' edge, clear of t near alpha+beta, where the forward pass sums
+    tens of thousands of terms. Until the root is bracketed a step at most
+    doubles t while g > 0 and at least halves it while g < 0, where g falls
+    like a power of t and Newton steps shrink t slowly; then a step leaving
+    the bracket bisects. Near the root Newton's model promises f at most
+    g^2 / (|g'| t^3) more: the loop stops once that is below half an ulp of
+    f, or the bracket is 1e-9 relative wide, and returns the largest f
+    evaluated. A root below t = 1e-12 leaves f within t/3 of v relative
+    (|c| <= 1): v is returned. The root grows with the shape: over shapes
+    from 1e-3 to 1e5 it stays below 18 (alpha+beta+1). A NaN residual, a
+    step past t = 1e3 (alpha+beta+1), no root in 200 steps or a value 1e-9
+    over Elder's proxy 1/(4 (alpha+beta+1)) (arXiv:1611.00065) raises
+    ConvergenceError.
     """
     v = float(sub_gamma_params(params).v)
     if params.alpha == params.beta:
@@ -156,32 +165,37 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
         params = params.swapped()
     a, b = float(params.alpha), float(params.beta)
     best = v
-
-    def residual(t: float) -> float:
-        nonlocal best
-        psi, _, _, g = _cgf_kernel(a, b, t)
-        best = max(best, 2.0 * psi / (t * t))
-        return g
-
-    lo, g_lo = 1e-12, residual(1e-12)  # g > 0 below the root, g < 0 above it
-    if g_lo <= 0.0:
-        return best
-    hi, g_hi, side = math.inf, -1.0, 0  # g_hi is unused while hi is infinite
+    lo, hi = 0.0, math.inf  # g(lo) > 0 > g(hi): g > 0 below the root, g < 0 above it
+    t = 4.0 * math.sqrt(a + b + 1.0)
     t_limit = 1e3 * (float(params.total) + 1.0)
-    for step in range(200):
-        t = 2.0 * lo if hi == math.inf else lo + (hi - lo) * g_lo / (g_lo - g_hi)
+    for step in range(1, 201):
+        psi, dpsi, d2psi, g = _cgf_kernel(a, b, t)
+        if math.isnan(g):
+            raise ConvergenceError(
+                f"sub-gaussian proxy residual is nan at t={t} for {params} after {step} steps"
+            )
+        best = max(best, 2.0 * psi / (t * t))
+        if g > 0.0:
+            lo = t
+        else:
+            hi = t
+            if hi <= 1e-12:
+                return best
+        slope = t * d2psi - dpsi  # g', negative near the root
+        newton = t - g / slope if slope != 0.0 else math.nan
+        if g == 0.0 or hi - lo <= 1e-9 * lo or g * g <= 2.0**-52 * -slope * t * psi:
+            break
+        if hi == math.inf:
+            t = newton if t < newton < 2.0 * lo else 2.0 * lo
+        elif lo == 0.0:
+            t = max(newton if 0.0 < newton < 0.5 * hi else 0.5 * hi, 1e-12)
+        else:
+            t = newton if lo < newton < hi else 0.5 * (lo + hi)
         if t > t_limit:
             raise ConvergenceError(
                 f"sub-gaussian proxy objective rising at t={lo} for {params} after {step} "
                 f"steps: the next passes the limit 1e3 (alpha+beta+1) = {t_limit}"
             )
-        g = residual(t)
-        if g > 0.0:  # Illinois: halve the residual of an end kept twice
-            lo, g_lo, g_hi, side = t, g, g_hi * (0.5 if side > 0 else 1.0), 1
-        else:
-            hi, g_hi, g_lo, side = t, g, g_lo * (0.5 if side < 0 else 1.0), -1
-        if g == 0.0 or hi - lo <= 1e-9 * lo:
-            break
     else:
         raise ConvergenceError(
             f"sub-gaussian proxy root not found for {params} in 200 steps: [{lo}, {hi}]"

@@ -26,8 +26,8 @@ from .specfun import _cgf_kernel
 # tolerance the verification suite runs at.
 CHECK_SLACK = 1e-10
 
-# psi'(t) within this fraction of eps and of its gap 1 - mu - eps to the edge, or
-# a bracket this relative width, leaves the exponent exact to rounding (quadratic error)
+# a bracket this relative width leaves the exponent exact to rounding (its error
+# is quadratic in the width)
 _SOLVE_RTOL = 1e-13
 _SOLVE_STEPS = 200
 
@@ -78,10 +78,14 @@ def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) ->
     Newton steps start from eps / (v + c eps), at most the large-t root
     estimate b / (1 - mu - eps) and at least 1e-3, and keep a bracket
     psi'(lo) < eps <= psi'(hi); a step leaving it bisects. Until the root is
-    bracketed a step at most doubles t. converged=False means only that the
-    step budget ran out; a root whose 1F1 series peaks at index 2^53 or past
-    it (eps within about b / 9e15 of the width) raises ConvergenceError.
-    exponent is the largest t eps - psi(t) evaluated, at least 0, and t_star
+    bracketed a step at most doubles t. The solve stops where the exponent
+    is exact to rounding: once Newton's model of f(t) = t eps - psi(t)
+    promises at most half an ulp of f more, (eps - psi')^2 / (2 psi'') <=
+    2^-53 f, or the bracket is 1e-13 relative wide. converged=False means
+    only that the step budget ran out; a root whose 1F1 series peaks at
+    index 2^53 or past it (eps within about b / 9e15 of the width) raises
+    ConvergenceError. exponent is the largest t eps - psi(t) evaluated, at
+    least 0, so it is a valid exponent wherever the loop stops, and t_star
     the t that gave it.
     """
     if side is TailSide.LOWER:
@@ -103,9 +107,12 @@ def _solve(
 
     Starts from t_start, or from the first guess eps / (v + c eps) when it is
     None; either is clamped to [1e-3, b / (1 - mu - eps)]. Requires
-    0 < eps < 1 - mu, mu = a / (a + b). Returns the result and the last t
-    evaluated with psi'(t) and psi''(t) there, from which a caller can
-    predict the root at a nearby eps.
+    0 < eps < 1 - mu, mu = a / (a + b). Stops on the Newton model's
+    remaining gain, (eps - psi')^2 <= 2^-52 psi'' f with f = t eps - psi at
+    the evaluated t: the exponent's error is quadratic in eps - psi', so a
+    gap near 1e-8 eps already leaves f exact to rounding. Returns the
+    result and the last t evaluated with psi'(t) and psi''(t) there, from
+    which a caller can predict the root at a nearby eps.
     """
     mu = a / (a + b)
     if t_start is None:
@@ -126,11 +133,13 @@ def _solve(
             lo = t
         else:
             hi = t
-        if abs(slope - eps) <= _SOLVE_RTOL * min(eps, 1 - mu - eps) or hi - lo <= _SOLVE_RTOL * lo:
+        # Newton's model promises gap^2 / (2 psi'') more: stop once under half an ulp of f
+        gap = eps - slope
+        if gap * gap <= 2.0**-52 * curvature * f or hi - lo <= _SOLVE_RTOL * lo:
             converged = True
             break
         # psi'' rounded to <= 0 falls back to a doubling or a bisection
-        t = t + (eps - slope) / curvature if curvature > 0.0 else math.inf
+        t = t + gap / curvature if curvature > 0.0 else math.inf
         if hi == math.inf:
             t = min(t, 2.0 * lo)
         elif not lo < t < hi:

@@ -275,7 +275,9 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
     if k0 < _WINDOW_PEAK:  # then t < (10 s + 90) / (a + 9): terms stay below 1e15
         term, total, first, second = 1.0, 1.0, 0.0, 0.0
         ratio = a * t / s  # term_{k+1} / term_k at k = 0
-        for k in range(1, budget):
+        k = 0.0  # a float counter: the sums below take k as a float anyway
+        for _ in range(1, budget):
+            k += 1.0
             term *= ratio
             total += term
             first += k * term

@@ -280,17 +280,60 @@ class TestSubgaussianProxy:
         assert float(sub_gamma_params(p).v) <= proxy <= 1.0 / (4.0 * (a + b + 1.0))
 
     def test_rising_objective_reports_steps_and_limit(self, monkeypatch):
-        # g > 0 everywhere: doubling from 1e-12 passes 1e3 (2 + 98 + 1) at step 56
+        # g > 0 everywhere: doubling from 4 sqrt(2 + 98 + 1) = 40.2 evaluates
+        # 12 tilts up to 8.2e4, and the next, 1.6e5, passes 1e3 (2 + 98 + 1)
         monkeypatch.setattr(bounds, "_cgf_kernel", lambda a, b, t: (0.0, 0.0, 0.0, 1.0))
-        with pytest.raises(ConvergenceError, match=r"after 56 steps.* = 101000\.0$"):
+        with pytest.raises(ConvergenceError, match=r"after 12 steps.* = 101000\.0$"):
             subgaussian_optimal_proxy(BetaParams(2, 98))
 
     def test_lost_root_reports_steps(self, monkeypatch):
-        # a NaN residual past t = 1 keeps the Illinois steps from closing the bracket
+        # a NaN residual past t = 1 would let the bracket close on the jump to NaN
+        # at t = 1 and return there; it raises where it first appears instead
         kernel = lambda a, b, t: (0.0, 0.0, 0.0, 1.0 if t < 1.0 else math.nan)
         monkeypatch.setattr(bounds, "_cgf_kernel", kernel)
-        with pytest.raises(ConvergenceError, match="in 200 steps"):
+        with pytest.raises(ConvergenceError, match=r"residual is nan at t=40\.19.* after 1 steps"):
             subgaussian_optimal_proxy(BetaParams(2, 98))
+
+    def test_nan_residual_below_the_start_raises(self, monkeypatch):
+        # the residual is finite at the start and NaN on the way down to the root
+        kernel = lambda a, b, t: (1.0, 0.0, 0.0, -1.0 if t > 1.0 else math.nan)
+        monkeypatch.setattr(bounds, "_cgf_kernel", kernel)
+        with pytest.raises(ConvergenceError, match=r"residual is nan at t=0\.62.* after 7 steps"):
+            subgaussian_optimal_proxy(BetaParams(2, 98))
+
+    @pytest.mark.parametrize("a,b", [(2, 98), (2, 998)])
+    def test_paper_shapes_take_few_kernel_evaluations(self, monkeypatch, a, b):
+        # doubling from 1e-12 and Illinois steps took 59 and 61 evaluations
+        calls = 0
+        kernel = bounds._cgf_kernel
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(bounds, "_cgf_kernel", counted)
+        subgaussian_optimal_proxy(BetaParams(a, b))
+        assert calls <= 12
+
+    def test_start_stays_clear_of_the_wide_forward_pass(self):
+        # at t = alpha + beta the kernel's forward pass sums tens of thousands
+        # of terms; a loop started there took longer than that one evaluation.
+        # Started at 4 sqrt(alpha + beta + 1), the whole proxy takes a fraction of it
+        p = BetaParams(1, 1e7)
+
+        def best_of_three(call):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                result = call()
+                times.append(time.perf_counter() - start)
+            return min(times), result
+
+        wide, _ = best_of_three(lambda: bounds._cgf_kernel(1.0, 1e7, 1e7))
+        elapsed, proxy = best_of_three(lambda: subgaussian_optimal_proxy(p))
+        assert elapsed < 0.5 * wide
+        assert float(sub_gamma_params(p).v) <= proxy <= 1.0 / (4.0 * (1e7 + 2.0))
 
 
 # Shapes from mildly to extremely skewed, both orientations, tiny to large.

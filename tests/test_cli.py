@@ -189,8 +189,8 @@ class TestCompareCommand:
 
     def test_unconverged_point_is_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
         # the support width of Beta(2, 98) is 0.98: the first point's solve
-        # takes 7 steps from its first guess; the last point's, warm-started
-        # at twice the first one's last tilt (404), takes 28 to its tilt near
+        # takes 6 steps from its first guess; the last point's, warm-started
+        # at twice the first one's last tilt (404), takes 27 to its tilt near
         # 1e9, so a budget of 10 steps leaves only the last one unconverged
         monkeypatch.setattr(chernoff, "_SOLVE_STEPS", 10)
         out = tmp_path / "edge.csv"
@@ -368,6 +368,41 @@ class TestComparisonRowsApi:
             calls = 0
             comparison_rows(BetaParams(alpha, beta), GridSpec(0.0, stop, 100))
             assert calls <= 3.5 * 99  # every point but eps = 0 is solved
+
+    def test_second_order_prediction_takes_about_two_evaluations(self, monkeypatch):
+        # tangent predictions with a stop on |psi' - eps| took 3.1 a solve; the
+        # Hermite prediction and the stop at the exponent's rounding take about 2
+        calls = 0
+        kernel = chernoff._cgf_kernel
+
+        def counted(a, b, t):
+            nonlocal calls
+            calls += 1
+            return kernel(a, b, t)
+
+        monkeypatch.setattr(chernoff, "_cgf_kernel", counted)
+        for alpha, beta, stop in [(2, 98, 0.05), (2, 998, 0.005)]:
+            calls = 0
+            comparison_rows(BetaParams(alpha, beta), GridSpec(0.0, stop, 100))
+            assert calls <= 2.1 * 99  # every point but eps = 0 is solved
+
+    def test_exact_tail_reads_float_shapes(self, monkeypatch):
+        # the exact column is formed from one float BetaParams, not from
+        # Fractions converted again at every row
+        seen = []
+        exact_tail = bounds.exact_tail
+
+        def recorded(params, eps, side):
+            seen.append(params)
+            return exact_tail(params, eps, side)
+
+        monkeypatch.setattr(bounds, "exact_tail", recorded)
+        rows = comparison_rows(BetaParams(2, 98), GridSpec(0.0, 0.05, 5))
+        assert len(seen) == 5 and all(p == BetaParams(2.0, 98.0) for p in seen)
+        assert all(type(p.alpha) is float and type(p.beta) is float for p in seen)
+        assert [r.exact for r in rows] == [
+            exact_tail(BetaParams(2, 98), r.epsilon, bounds.TailSide.UPPER) for r in rows
+        ]
 
     def test_sub_gamma_params_formed_once_per_table(self, monkeypatch):
         calls = 0

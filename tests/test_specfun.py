@@ -1,5 +1,6 @@
 """Unit and property tests for the special-function kernels."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -244,6 +245,69 @@ class TestLogKummer1F1:
         # float indices stop moving there; the series would not end
         with pytest.raises(ConvergenceError, match=r"2\*\*53"):
             log_kummer_1f1(2.0, 100.0, 1e17)
+
+
+def _forward_pass_points(seed: int, count: int) -> list[tuple[float, float, float]]:
+    """Seeded (a, b, t), shapes log-uniform over 1e-3 to 1e4, t log-uniform between
+    the centered series' edge 4 sqrt(s+1) and (10 s + 90) / (a + 9), kept where the
+    1F1 series peaks below k0 = 10: the inputs the kernel's forward pass serves."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        a, b = 10 ** rng.uniform(-3, 4), 10 ** rng.uniform(-3, 4)
+        s = a + b
+        lo, hi = 4 * math.sqrt(s + 1), (10 * s + 90) / (a + 9)
+        if hi <= lo * 1.0001:
+            continue
+        t = lo * (hi / lo) ** rng.random()
+        p = t + 1 - s
+        disc = p * p + 4 * (a - 1) * t
+        if disc < 0:
+            root = 0.0
+        elif p >= 0:
+            root = 0.5 * (p + math.sqrt(disc))
+        else:
+            root = 2 * (a - 1) * t / (math.sqrt(disc) - p)
+        if max(0, math.floor(root)) < 10 and t * t > 16 * (s + 1):
+            points.append((a, b, t))
+    return points
+
+
+class TestCgfKernelForwardPass:
+    """The forward pass (peak index k0 < 10) returns the same bits as the int-counter
+    loop it replaced; the values below were recorded from that loop."""
+
+    RECORDED = {
+        (2.0, 98.0, 60.0): (
+            "0x1.25edd9a23b788p-1", "0x1.a28560a4f258ep-6",
+            "0x1.d5c7de77f27ecp-11", "0x1.89bcc3e19eeb4p-2",
+        ),
+        (2.0, 998.0, 600.0): (
+            "0x1.407b7f82e3112p-1", "0x1.820bffd36b364p-9",
+            "0x1.92ec43659d59ep-17", "0x1.07d52091bd24ep-1",
+        ),
+        (0.5, 700.0, 450.0): (
+            "0x1.87ba2af3eb6dcp-3", "0x1.4aad17c633b33p-10",
+            "0x1.01a7f3b741074p-17", "0x1.7b1431acf6e68p-3",
+        ),
+        (1.0, 1e5, 5e4): (
+            "0x1.8b88e2a8dc4f4p-3", "0x1.4f81e5f640ef9p-17",
+            "0x1.b7b77a4f622ccp-32", "0x1.d1a2cb7012190p-4",
+        ),
+    }
+    # sha256 of repr((a, b, t, kernel(a, b, t))) over _forward_pass_points(7, 400)
+    RECORDED_DIGEST = "7f4a906b2982d6f59678491090cb3fdc5a3ad3f92d9c514c2c7c72ea628660d2"
+
+    @pytest.mark.parametrize("point", sorted(RECORDED))
+    def test_recorded_values(self, point):
+        got = specfun._cgf_kernel(*point)
+        assert tuple(x.hex() for x in got) == self.RECORDED[point]
+
+    def test_recorded_digest_on_seeded_points(self):
+        digest = hashlib.sha256()
+        for a, b, t in _forward_pass_points(7, 400):
+            digest.update(repr((a, b, t, specfun._cgf_kernel(a, b, t))).encode())
+        assert digest.hexdigest() == self.RECORDED_DIGEST
 
 
 class TestGauss2F1Terminating:
