@@ -10,12 +10,14 @@ and its derivatives; every function here reads them from it.
 The Cramer-Chernoff exponent psi*(eps) = sup_{t>=0} (t eps - psi(t)) is
 attained where psi'(t) = eps. psi'' is a tilted variance in (0, 1/4], so
 safeguarded Newton steps on psi'(t) = eps reach the root in a few kernel
-evaluations at any t.
+evaluations at any t. chernoff_exponents solves a sequence of deviations,
+each from the roots before it; chernoff_exponent_numeric is its one-point case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .bounds import SubGammaParams, TailSide, sub_gamma_params
@@ -73,79 +75,116 @@ def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) ->
 
     The lower tail is the upper tail of 1 - X ~ Beta(beta, alpha), so only one
     optimization path exists. Valid for 0 < eps < support width on the chosen
-    side; exp(-exponent) then upper-bounds the exact tail probability.
-
-    Newton steps start from eps / (v + c eps), at most the large-t root
-    estimate b / (1 - mu - eps) and at least 1e-3, and keep a bracket
-    psi'(lo) < eps <= psi'(hi); a step leaving it bisects. Until the root is
-    bracketed a step at most doubles t. The solve stops where the exponent
-    is exact to rounding: once Newton's model of f(t) = t eps - psi(t)
-    promises at most half an ulp of f more, (eps - psi')^2 / (2 psi'') <=
-    2^-53 f, or the bracket is 1e-13 relative wide. converged=False means
-    only that the step budget ran out; a root whose 1F1 series peaks at
-    index 2^53 or past it (eps within about b / 9e15 of the width) raises
-    ConvergenceError. exponent is the largest t eps - psi(t) evaluated, at
-    least 0, so it is a valid exponent wherever the loop stops, and t_star
-    the t that gave it.
+    side; exp(-exponent) then upper-bounds the exact tail probability. The
+    solve is chernoff_exponents' at a single deviation, from its cold first
+    guess, and has the same contract.
     """
     if side is TailSide.LOWER:
         return chernoff_exponent_numeric(params.swapped(), eps, TailSide.UPPER)
     a, b = float(params.alpha), float(params.beta)
-    mu = a / (a + b)
-    if not 0.0 < eps < 1.0 - mu:
-        raise ValueError(
-            f"eps must lie strictly inside (0, {1.0 - mu}) for the upper tail, got {eps}"
-        )
-    sg = sub_gamma_params(params)
-    return _solve(a, b, eps, float(sg.v), float(sg.c))[0]
+    width = 1.0 - a / (a + b)
+    if not 0.0 < eps < width:
+        raise ValueError(f"eps must lie strictly inside (0, {width}) for the upper tail, got {eps}")
+    return chernoff_exponents(params, [eps])[0]
 
 
-def _solve(
-    a: float, b: float, eps: float, v: float, c: float, t_start: float | None = None
-) -> tuple[ChernoffResult, float, float, float]:
-    """The Newton loop of chernoff_exponent_numeric for Beta(a, b), upper tail.
+def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[ChernoffResult]:
+    """Upper-tail psi*(eps) of one shape at each deviation of epss in turn.
 
-    Starts from t_start, or from the first guess eps / (v + c eps) when it is
-    None; either is clamped to [1e-3, b / (1 - mu - eps)]. Requires
-    0 < eps < 1 - mu, mu = a / (a + b). Stops on the Newton model's
-    remaining gain, (eps - psi')^2 <= 2^-52 psi'' f with f = t eps - psi at
-    the evaluated t: the exponent's error is quadratic in eps - psi', so a
-    gap near 1e-8 eps already leaves f exact to rounding. Returns the
-    result and the last t evaluated with psi'(t) and psi''(t) there, from
-    which a caller can predict the root at a nearby eps.
+    eps = 0 gives ChernoffResult(0.0, 0.0, True), and eps from the support
+    width 1 - mu on, mu = alpha / (alpha + beta), exponent and t_star inf.
+    A NaN or negative eps raises ValueError.
+
+    Each solve takes Newton steps in a bracket psi'(lo) < eps <= psi'(hi); a
+    step leaving it bisects, and until the root is bracketed a step at most
+    doubles t. The first solve starts from eps / (v + c eps), each later one
+    at _predict_root's prediction from the previous two, either clamped to
+    at most the large-t root estimate b / (1 - mu - eps) and at least 1e-3.
+    A solve stops once Newton's model of f(t) = t eps - psi(t) promises at
+    most half an ulp of f more, (eps - psi')^2 / (2 psi'') <= 2^-53 f, or
+    the bracket is 1e-13 relative wide: the exponent's error is quadratic in
+    eps - psi', so it is then exact to rounding. On the paper grids a solve
+    takes about two kernel evaluations, and a warm-started exponent is within
+    1e-15 max(1, t*) relative of the cold one, the kernel's psi tolerance.
+
+    converged=False means only that the step budget ran out; a root whose
+    1F1 series peaks at index 2^53 or past it (eps within about b / 9e15 of
+    the width) raises ConvergenceError. exponent is the largest t eps -
+    psi(t) evaluated, at least 0, so it is a valid exponent wherever the
+    loop stops, and t_star the t that gave it.
     """
-    mu = a / (a + b)
-    if t_start is None:
-        t_start = eps / (v + c * eps) if v + c * eps > 0 else eps / v
-    # the first guess diverges as eps nears v/|c| when c < 0; past its root psi' nears
-    # 1 - mu - b/t, so the root lies near b / (1 - mu - eps) at large t
-    t = max(min(t_start, b / (1.0 - mu - eps)), 1e-3)
-    lo, hi = 0.0, math.inf
-    best_f = best_t = 0.0
-    converged = False
-    for _ in range(_SOLVE_STEPS):
-        t_last = t
-        psi, slope, curvature, _ = _cgf_kernel(a, b, t)
-        f = t * eps - psi
-        if f > best_f:
-            best_f, best_t = f, t
-        if slope < eps:
-            lo = t
+    a, b = float(params.alpha), float(params.beta)
+    width = 1.0 - a / (a + b)
+    sg = sub_gamma_params(params)
+    v, c = float(sg.v), float(sg.c)
+    results = []
+    fits = []  # (psi', t, 1 / psi'') at the last tilt of each of the last two solves
+    for eps in epss:
+        if not eps >= 0.0:  # rejects nan too
+            raise ValueError(f"eps must be non-negative, got {eps}")
+        if eps == 0.0:
+            results.append(ChernoffResult(exponent=0.0, t_star=0.0, converged=True))
+            continue
+        if eps >= width:
+            results.append(ChernoffResult(exponent=math.inf, t_star=math.inf, converged=True))
+            continue
+        if fits:
+            t = _predict_root(fits, eps)
         else:
-            hi = t
-        # Newton's model promises gap^2 / (2 psi'') more: stop once under half an ulp of f
-        gap = eps - slope
-        if gap * gap <= 2.0**-52 * curvature * f or hi - lo <= _SOLVE_RTOL * lo:
-            converged = True
-            break
-        # psi'' rounded to <= 0 falls back to a doubling or a bisection
-        t = t + gap / curvature if curvature > 0.0 else math.inf
-        if hi == math.inf:
-            t = min(t, 2.0 * lo)
-        elif not lo < t < hi:
-            t = 0.5 * (lo + hi)
-    result = ChernoffResult(exponent=best_f, t_star=best_t, converged=converged)
-    return result, t_last, slope, curvature
+            t = eps / (v + c * eps) if v + c * eps > 0 else eps / v
+        # the first guess diverges as eps nears v/|c| when c < 0; past its root psi' nears
+        # 1 - mu - b/t, so the root lies near b / (1 - mu - eps) at large t
+        t = max(min(t, b / (width - eps)), 1e-3)
+        lo, hi = 0.0, math.inf
+        best_f = best_t = 0.0
+        converged = False
+        for _ in range(_SOLVE_STEPS):
+            t_last = t
+            psi, slope, curvature, _ = _cgf_kernel(a, b, t)
+            f = t * eps - psi
+            if f > best_f:
+                best_f, best_t = f, t
+            if slope < eps:
+                lo = t
+            else:
+                hi = t
+            # Newton's model promises gap^2 / (2 psi'') more: stop once under half an ulp of f
+            gap = eps - slope
+            if gap * gap <= 2.0**-52 * curvature * f or hi - lo <= _SOLVE_RTOL * lo:
+                converged = True
+                break
+            # psi'' rounded to <= 0 falls back to a doubling or a bisection
+            t = t + gap / curvature if curvature > 0.0 else math.inf
+            if hi == math.inf:
+                t = min(t, 2.0 * lo)
+            elif not lo < t < hi:
+                t = 0.5 * (lo + hi)
+        fits = [*fits[-1:], (slope, t_last, 1.0 / curvature if curvature > 0.0 else math.inf)]
+        results.append(ChernoffResult(exponent=best_f, t_star=best_t, converged=converged))
+    return results
+
+
+def _predict_root(fits: list[tuple[float, float, float]], eps: float) -> float:
+    """First tilt for the solve at eps from fits = [(psi', t, 1 / psi'')] at the
+    last tilts of the previous one or two solves.
+
+    Each fit is a point of the inverse map psi' -> t with its slope 1 / psi''.
+    One gives the tangent t + (eps - psi') / psi''; two give the cubic through
+    both with both slopes (Hermite), in Newton form about the later one. A
+    prediction that is not positive or passes twice that fit's t, the solve's
+    own doubling limit, is replaced by that limit.
+    """
+    x1, t1, d1 = fits[-1]
+    h = eps - x1
+    pred = t1 + d1 * h
+    if len(fits) == 2 and fits[0][0] != x1:
+        x0, t0, d0 = fits[0]
+        w = x1 - x0
+        q = (t1 - t0) / w  # divided differences over the nodes x1, x1, x0, x0
+        c2 = (d1 - q) / w
+        c3 = (c2 - (q - d0) / w) / w
+        pred += h * h * (c2 + c3 * (eps - x0))
+    return pred if 0.0 < pred < 2.0 * t1 else 2.0 * t1  # also nan: a psi'' <= 0
 
 
 def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:

@@ -80,80 +80,31 @@ def comparison_rows(
 ) -> list[ComparisonRow]:
     """Upper-tail comparison rows over the grid, soundness-checked.
 
-    The shape's floats (as a float BetaParams for the exact tail, which reads
-    floats anyway), its mean mu = alpha / (alpha + beta), its (v, c) and the
-    sub-gaussian proxy are formed once per call and reused for every row;
-    mu also sets the support width 1 - mu past which the Chernoff cell is 0.
-    The Chernoff column is exp(-psi*(eps)); a non-converged optimizer still
-    yields a valid bound since every evaluated t gives one, and each such
-    point is reported on stderr.
-
-    The first solve starts from chernoff_exponent_numeric's own first guess,
-    each later one at _predict_root's second-order prediction from the last
-    tilts of the previous two, clamped like the first guess to at most
-    b / (1 - mu - eps) and at least 1e-3, and each stops by the same rule:
-    about two kernel evaluations a solve on the paper grids. A cell is then
-    within 1e-15 max(1, t*) relative of chernoff_exponent_numeric's at the
-    same eps, the kernel's psi tolerance carried into the cell.
+    The shape as a float BetaParams (the exact tail reads floats anyway), its
+    (v, c) and the sub-gaussian proxy are formed once per call. The Chernoff
+    column is exp(-psi*(eps)) from one chernoff.chernoff_exponents sweep of
+    the grid. An unconverged solve still yields a valid bound, since every
+    evaluated t gives one, and each such point is reported on stderr.
     """
-    a, b = float(params.alpha), float(params.beta)
-    mu = a / (a + b)
-    width = 1.0 - mu
-    sg = bounds.sub_gamma_params(params)
-    v, c = float(sg.v), float(sg.c)
-    bern_sg = bounds._upper_bound_params(params, sg)
+    bern_sg = bounds._upper_bound_params(params, bounds.sub_gamma_params(params))
     proxy = bounds.subgaussian_optimal_proxy(params)
-    shape = moments.BetaParams(a, b)
+    shape = moments.BetaParams(float(params.alpha), float(params.beta))
+    points = grid.points(log_spacing)
     rows = []
-    fits = []  # (psi', t, 1 / psi'') at the last tilt of each of the last two solves
-    for eps in grid.points(log_spacing):
+    for eps, result in zip(points, chernoff.chernoff_exponents(params, points)):
         exact = bounds.exact_tail(shape, eps, bounds.TailSide.UPPER)
         bern = bounds.sub_gamma_bound(bern_sg, eps)
         subg = bounds.subgaussian_bound(params, eps, proxy=proxy)
-        if eps == 0.0:
-            cher = 1.0
-        elif eps >= width:
-            cher = 0.0
-        else:
-            t_start = _predict_root(fits, eps)
-            result, t, slope, curvature = chernoff._solve(a, b, eps, v, c, t_start)
-            fits = [*fits[-1:], (slope, t, 1.0 / curvature if curvature > 0.0 else math.inf)]
-            cher = math.exp(-result.exponent)
-            if not result.converged:
-                print(f"warning: Chernoff optimizer unconverged at eps={eps!r}, "
-                      f"t_star={result.t_star!r}", file=sys.stderr)
+        if not result.converged:
+            print(f"warning: Chernoff optimizer unconverged at eps={eps!r}, "
+                  f"t_star={result.t_star!r}", file=sys.stderr)
         row = ComparisonRow(
-            epsilon=eps, exact=exact, bernstein=bern, subgaussian=subg, chernoff=cher
+            epsilon=eps, exact=exact, bernstein=bern, subgaussian=subg,
+            chernoff=math.exp(-result.exponent),
         )
         _check_row(params, row)
         rows.append(row)
     return rows
-
-
-def _predict_root(fits: list[tuple[float, float, float]], eps: float) -> float | None:
-    """First tilt for the solve at eps from fits = [(psi', t, 1 / psi'')] at the
-    last tilts of the previous one or two solves; None (the cold first guess)
-    without one.
-
-    Each fit is a point of the inverse map psi' -> t with its slope 1 / psi''.
-    One gives the tangent t + (eps - psi') / psi''; two give the cubic through
-    both with both slopes (Hermite), in Newton form about the later one. A
-    prediction that is not positive or passes twice that fit's t, the solve's
-    own doubling limit, is replaced by that limit.
-    """
-    if not fits:
-        return None
-    x1, t1, d1 = fits[-1]
-    h = eps - x1
-    pred = t1 + d1 * h
-    if len(fits) == 2 and fits[0][0] != x1:
-        x0, t0, d0 = fits[0]
-        w = x1 - x0
-        q = (t1 - t0) / w  # divided differences over the nodes x1, x1, x0, x0
-        c2 = (d1 - q) / w
-        c3 = (c2 - (q - d0) / w) / w
-        pred += h * h * (c2 + c3 * (eps - x0))
-    return pred if 0.0 < pred < 2.0 * t1 else 2.0 * t1  # also nan: a psi'' <= 0
 
 
 def _check_row(params: moments.BetaParams, row: ComparisonRow) -> None:

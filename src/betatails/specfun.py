@@ -2,10 +2,10 @@
 
 Everything here is self-contained double precision or exact rational
 arithmetic: log-gamma, the regularized incomplete beta function
-(continued fraction), the confluent hypergeometric 1F1 and its logarithm,
+(continued fraction), the logarithm of the confluent hypergeometric 1F1,
 the terminating Gauss 2F1 over exact rationals, and rising factorials.
 One kernel sums the 1F1 series, as the CGF of a centered Beta variable and
-its derivatives; the 1F1 functions shift it back by t a / c. Every caller
+its derivatives; log_kummer_1f1 shifts it back by t a / c. Every caller
 shares its term budget, max(10,000, 4 t + 2000) terms at tilt t.
 
 All kernels are deterministic and hold no shared state.
@@ -251,6 +251,11 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
     psi'' within 5e-11 and 4e-10.
     """
     s = a + b
+    if t < 2.0**-200:
+        # t * t in the series would underflow: the leading order (g cancels at it), as
+        # |k1| <= t and k2 <= t^2 / 4 leave every later term under 2^-200 of v t^2 / 2
+        v = (a / s) * (b / s) / (s + 1.0)
+        return v * t * t / 2.0, v * t, v, 0.0
     if t * t <= 16.0 * (s + 1.0):
         sigma, excess, curvature = _centered_series(a, b, t)
         phi = 1.0 + sigma
@@ -371,15 +376,6 @@ def log_kummer_1f1(a: float, c: float, t: float) -> float:
     else:
         psi = _cgf_kernel(a, c - a, t)[0]
     return psi + t * a / c
-
-
-def kummer_1f1(a: float, c: float, t: float) -> float:
-    """Confluent hypergeometric 1F1(a; c; t), the exponential of log_kummer_1f1.
-
-    Same contract as log_kummer_1f1; OverflowError once the value passes
-    the largest double.
-    """
-    return math.exp(log_kummer_1f1(a, c, t))
 
 
 def gauss_2f1_terminating(a, d: int, c, z) -> Fraction:

@@ -13,6 +13,7 @@ from betatails.chernoff import (
     centered_mgf,
     cgf,
     chernoff_exponent_numeric,
+    chernoff_exponents,
     derivative_ratio_check,
     cumulant_upper_bound,
     best_tilt,
@@ -163,6 +164,14 @@ class TestCgf:
         with pytest.raises(ValueError, match="finite"):
             fn(BetaParams(2, 98), t)
 
+    @pytest.mark.parametrize("t", [5e-324, 1e-170, -1e-170])
+    def test_tiny_tilt_is_the_origin(self, t):
+        # v t^2 / 2 underflows to 0; the series would divide by t * t = 0
+        p = BetaParams(2, 98)
+        assert cgf(p, t) == 0.0
+        assert centered_mgf(p, t) == 1.0
+        assert derivative_ratio_check(p, abs(t))
+
     @pytest.mark.parametrize("a,b", [(2, 98), (5, 5)])
     def test_convexity_on_grid(self, a, b):
         p = BetaParams(a, b)
@@ -265,6 +274,41 @@ class TestChernoffExponent:
         assert res.converged
         assert res.exponent == pytest.approx(float(_mp_chernoff(527.9, 263.4, eps)), rel=1e-12)
         assert math.exp(-res.exponent) >= exact_tail(p, eps, TailSide.UPPER) - 1e-10
+
+
+class TestChernoffExponents:
+    def test_zero_deviation_is_the_zero_exponent(self):
+        assert chernoff_exponents(BetaParams(2, 98), [0.0]) == [ChernoffResult(0.0, 0.0, True)]
+
+    @pytest.mark.parametrize("eps", [0.98, 0.99, math.inf])
+    def test_support_edge_on_is_infinite(self, eps):
+        # the float width 1 - 2/100 is 0.98 exactly
+        (result,) = chernoff_exponents(BetaParams(2, 98), [eps])
+        assert result.exponent == math.inf and math.exp(-result.exponent) == 0.0
+
+    @pytest.mark.parametrize("eps", [math.nan, -1e-3, -math.inf])
+    def test_nan_or_negative_deviation_is_a_value_error(self, eps):
+        with pytest.raises(ValueError):
+            chernoff_exponents(BetaParams(2, 98), [0.01, eps])
+
+    @pytest.mark.parametrize("a,b", SOLVE_ORACLE_SHAPES)
+    def test_one_point_is_the_numeric_exponent(self, a, b):
+        p = BetaParams(a, b)
+        width = 1.0 - float(p.mean())
+        for fraction in SOLVE_ORACLE_FRACTIONS:
+            eps = fraction * width
+            (result,) = chernoff_exponents(p, [eps])
+            assert result == chernoff_exponent_numeric(p, eps, TailSide.UPPER)
+
+    def test_warm_sweep_matches_mpmath(self):
+        # each solve after the first starts from the previous ones' prediction
+        p = BetaParams(2, 98)
+        epss = [0.98 * i / 10 for i in range(10)]
+        results = chernoff_exponents(p, epss)
+        assert results[0] == ChernoffResult(0.0, 0.0, True)
+        for eps, result in zip(epss[1:], results[1:]):
+            assert result.converged
+            assert result.exponent == pytest.approx(float(_mp_chernoff(2, 98, eps)), rel=1e-12)
 
 
 class TestChernoffExponentExpansion:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
+import hashlib
 import math
 import re
 import time
@@ -149,6 +150,22 @@ class TestCompareCommand:
         assert len(lines) == 21
         assert text.endswith("\n")
         assert "\r" not in text
+
+    @pytest.mark.parametrize("alpha,beta,grid,digest", [
+        ("2", "98", "0:0.05:100",
+         "14b436dd08af790fc04435bb61e878b146efce378529244e6cb8a6ecbc0cdde5"),
+        ("2", "998", "0:0.005:100",
+         "1bf7ca2bb68196617bf9ac6eb9c2dc086bf2ac1b9d5f392a330722a42de2cf1a"),
+        ("5", "5", "0:0.45:100",
+         "03fd92f95951b3c4ea0641818efe25242fd7f1810c48662a5701d441125f6107"),
+    ])
+    def test_paper_tables_keep_their_bytes(self, tmp_path, capsys, alpha, beta, grid, digest):
+        # the paper's two tables (scripts/make_comparison_data.py) and a symmetric one;
+        # a change that moves any cell must say so and record the new digest
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--alpha", alpha, "--beta", beta,
+                     "--grid", grid, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_byte_for_byte_determinism(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -352,6 +369,13 @@ class TestComparisonRowsApi:
             tol = 1e-15 * max(1.0, cold.t_star)
             assert abs(row.chernoff - cell) <= tol * cell + math.ulp(0.0), row
             assert (repr(row.epsilon) in warned) == (not cold.converged)
+
+    @pytest.mark.parametrize("alpha,beta,stop", [(2, 98, 0.05), (2, 998, 0.005)])
+    def test_chernoff_column_is_one_sweep_of_the_library(self, alpha, beta, stop):
+        params, grid = BetaParams(alpha, beta), GridSpec(0.0, stop, 100)
+        rows = comparison_rows(params, grid)
+        results = chernoff.chernoff_exponents(params, grid.points())
+        assert [row.chernoff for row in rows] == [math.exp(-r.exponent) for r in results]
 
     def test_warm_start_halves_kernel_evaluations(self, monkeypatch):
         # from cold first guesses the paper grids took 6.2 evaluations a solve

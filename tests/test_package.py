@@ -78,6 +78,43 @@ def test_only_specfun_sums_the_centered_series():
     assert users == {"specfun.py"}
 
 
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name, attribute, definition and import alias a module's tree spells."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name, node.asname)))
+    return found
+
+
+def test_only_chernoff_holds_the_solve():
+    # one Chernoff path: the warm start and the step budget live in chernoff,
+    # and cli reads the solve through chernoff's public names only
+    src = Path(betatails.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
+    solve_names = {"_predict_root", "_SOLVE_STEPS"}
+    users = {name for name, tree in trees.items() if solve_names & _identifiers(tree)}
+    assert users == {"chernoff.py"}
+    private = [
+        node.attr
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and isinstance(node.value, ast.Name) and node.value.id == "chernoff"
+    ] + [
+        alias.name
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("chernoff")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def _harness_function_names() -> list[str]:
     """The "layer.name" entries of perfbench/run.py's TRACED_FUNCTIONS and CLI_FUNCTIONS."""
     run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
