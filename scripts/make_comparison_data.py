@@ -3,11 +3,14 @@
 
 Writes beta_2_98.csv (deviations 0..0.05) and beta_2_998.csv (0..0.005),
 each with columns epsilon,exact,bernstein,subgaussian,chernoff. Output is
-byte-for-byte reproducible. Plot with any CSV-aware tool, e.g.:
+byte-for-byte reproducible, and the sha256 of each CSV is printed after it
+is written: these are the digests tests/test_cli.py pins for the two tables.
+Plot with any CSV-aware tool, e.g.:
 
     python scripts/make_comparison_data.py results/
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -22,12 +25,14 @@ JOBS = [
 def run(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for alpha, beta, grid, name in JOBS:
+        out = out_dir / name
         rc = main([
             "compare", "--alpha", alpha, "--beta", beta,
-            "--grid", grid, "--out", str(out_dir / name),
+            "--grid", grid, "--out", str(out),
         ])
         if rc != 0:
             return rc
+        print(f"sha256 {hashlib.sha256(out.read_bytes()).hexdigest()}  {out}")
     return 0
 
 

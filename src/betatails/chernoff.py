@@ -97,15 +97,16 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
 
     Each solve takes Newton steps in a bracket psi'(lo) < eps <= psi'(hi); a
     step leaving it bisects, and until the root is bracketed a step at most
-    doubles t. The first solve starts from eps / (v + c eps), each later one
-    at _predict_root's prediction from the previous two, either clamped to
-    at most the large-t root estimate b / (1 - mu - eps) and at least 1e-3.
-    A solve stops once Newton's model of f(t) = t eps - psi(t) promises at
-    most half an ulp of f more, (eps - psi')^2 / (2 psi'') <= 2^-53 f, or
-    the bracket is 1e-13 relative wide: the exponent's error is quadratic in
-    eps - psi', so it is then exact to rounding. On the paper grids a solve
-    takes about two kernel evaluations, and a warm-started exponent is within
-    1e-15 max(1, t*) relative of the cold one, the kernel's psi tolerance.
+    doubles t. The first solve starts from the cold guess eps / (v + c eps),
+    each later one at _predict_root's prediction from up to three before it,
+    either capped at the large-t root estimate b / (1 - mu - eps); with no
+    floor, a tiny eps starts near its tiny root. A solve stops once Newton's
+    model of f(t) = t eps - psi(t) promises at most half an ulp of f more,
+    (eps - psi')^2 / (2 psi'') <= 2^-53 f, or the bracket is 1e-13 relative
+    wide: the exponent's error is quadratic in eps - psi', so it is then
+    exact to rounding. On the paper grids a solve takes about 1.1 kernel
+    evaluations, and a warm-started exponent is within 1e-15 max(1, t*)
+    relative of the cold one, the kernel's psi tolerance.
 
     converged=False means only that the step budget ran out; a root whose
     1F1 series peaks at index 2^53 or past it (eps within about b / 9e15 of
@@ -118,7 +119,7 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
     results = []
-    fits = []  # (psi', t, 1 / psi'') at the last tilt of each of the last two solves
+    fits = []  # (psi', t, 1 / psi'') at the last tilt of each of the last three solves
     for eps in epss:
         if not eps >= 0.0:  # rejects nan too
             raise ValueError(f"eps must be non-negative, got {eps}")
@@ -128,13 +129,11 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
         if eps >= width:
             results.append(ChernoffResult(exponent=math.inf, t_star=math.inf, converged=True))
             continue
-        if fits:
-            t = _predict_root(fits, eps)
-        else:
-            t = eps / (v + c * eps) if v + c * eps > 0 else eps / v
+        cold = eps / (v + c * eps) if v + c * eps > 0 else eps / v
+        t = _predict_root(fits, eps, cold) if fits else cold
         # the first guess diverges as eps nears v/|c| when c < 0; past its root psi' nears
         # 1 - mu - b/t, so the root lies near b / (1 - mu - eps) at large t
-        t = max(min(t, b / (width - eps)), 1e-3)
+        t = min(t, b / (width - eps))
         lo, hi = 0.0, math.inf
         best_f = best_t = 0.0
         converged = False
@@ -159,32 +158,47 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
                 t = min(t, 2.0 * lo)
             elif not lo < t < hi:
                 t = 0.5 * (lo + hi)
-        fits = [*fits[-1:], (slope, t_last, 1.0 / curvature if curvature > 0.0 else math.inf)]
+        fits = [*fits[-2:], (slope, t_last, 1.0 / curvature if curvature > 0.0 else math.inf)]
         results.append(ChernoffResult(exponent=best_f, t_star=best_t, converged=converged))
     return results
 
 
-def _predict_root(fits: list[tuple[float, float, float]], eps: float) -> float:
+def _predict_root(fits: list[tuple[float, float, float]], eps: float, cold: float) -> float:
     """First tilt for the solve at eps from fits = [(psi', t, 1 / psi'')] at the
-    last tilts of the previous one or two solves.
+    last tilts of the previous one to three solves, or cold.
 
     Each fit is a point of the inverse map psi' -> t with its slope 1 / psi''.
-    One gives the tangent t + (eps - psi') / psi''; two give the cubic through
-    both with both slopes (Hermite), in Newton form about the later one. A
-    prediction that is not positive or passes twice that fit's t, the solve's
-    own doubling limit, is replaced by that limit.
+    The prediction is the polynomial through every point with its slope
+    (Hermite: a line for one, a cubic for two, a quintic for three), in Newton
+    form about the newest; a point whose psi' equals a newer one's is left out.
+    A prediction that is not positive or passes twice the newest t, the
+    solve's own doubling limit, is replaced by the cold first guess.
     """
     x1, t1, d1 = fits[-1]
     h = eps - x1
     pred = t1 + d1 * h
-    if len(fits) == 2 and fits[0][0] != x1:
-        x0, t0, d0 = fits[0]
+    i = len(fits) - 2  # the next older node, past one whose psi' equals x1
+    if i >= 0 and fits[i][0] == x1:
+        i -= 1
+    if i >= 0:
+        x0, t0, d0 = fits[i]
         w = x1 - x0
-        q = (t1 - t0) / w  # divided differences over the nodes x1, x1, x0, x0
+        q = (t1 - t0) / w  # divided differences over the nodes x1, x1, x0, x0(, x2, x2)
+        g = (q - d0) / w  # [x1, x0, x0]
         c2 = (d1 - q) / w
-        c3 = (c2 - (q - d0) / w) / w
-        pred += h * h * (c2 + c3 * (eps - x0))
-    return pred if 0.0 < pred < 2.0 * t1 else 2.0 * t1  # also nan: a psi'' <= 0
+        c3 = (c2 - g) / w
+        k = eps - x0
+        x2, t2, d2 = fits[0]
+        if i == 1 and x2 != x0 and x2 != x1:
+            u, s = x2 - x0, x2 - x1
+            r = (t2 - t0) / u
+            m = (r - d0) / u
+            n = (m - g) / s  # [x1, x0, x0, x2]
+            c4 = (n - c3) / s
+            c5 = ((((d2 - r) / u - m) / u - n) / s - c4) / s
+            c3 += k * (c4 + (eps - x2) * c5)  # the third node's terms, in Horner form
+        pred += h * h * (c2 + k * c3)
+    return pred if 0.0 < pred < 2.0 * t1 else cold  # also nan: a psi'' <= 0
 
 
 def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:

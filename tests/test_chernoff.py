@@ -18,6 +18,7 @@ from betatails.chernoff import (
     cumulant_upper_bound,
     best_tilt,
     chernoff_exponent_expansion,
+    _predict_root,
 )
 from betatails.moments import BetaParams, central_moments_recursive
 from betatails.specfun import ConvergenceError
@@ -275,6 +276,15 @@ class TestChernoffExponent:
         assert res.exponent == pytest.approx(float(_mp_chernoff(527.9, 263.4, eps)), rel=1e-12)
         assert math.exp(-res.exponent) >= exact_tail(p, eps, TailSide.UPPER) - 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-97, 1e-120, 1e-150])
+    def test_tiny_deviation_converges_to_the_expansion(self, eps):
+        # the first tilt is the cold guess eps / (v + c eps), near the root; from a
+        # floor far above it Newton lands at or below 0 and the solve only halves t
+        p = BetaParams(2, 98)
+        res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
+        assert res.converged
+        assert res.exponent == pytest.approx(chernoff_exponent_expansion(p, eps), rel=2.0**-52)
+
 
 class TestChernoffExponents:
     def test_zero_deviation_is_the_zero_exponent(self):
@@ -309,6 +319,55 @@ class TestChernoffExponents:
         for eps, result in zip(epss[1:], results[1:]):
             assert result.converged
             assert result.exponent == pytest.approx(float(_mp_chernoff(2, 98, eps)), rel=1e-12)
+
+
+    def test_solve_after_a_tiny_deviation_is_the_cold_solve(self):
+        # the tangent at t near 5e-95 predicts far past twice that tilt, so the
+        # solve at 0.01 starts from the cold guess, not by doubling from 5e-95
+        p = BetaParams(2, 98)
+        tiny, later = chernoff_exponents(p, [1e-98, 0.01])
+        assert tiny.converged and later.converged
+        assert later == chernoff_exponent_numeric(p, 0.01, TailSide.UPPER)
+
+
+def _inverse_map(coeffs, xs):
+    """(psi', t, 1 / psi'') at each x of the map t = sum_k coeffs[k] x^k."""
+    return [
+        (x, sum(a * x**k for k, a in enumerate(coeffs)),
+         sum(k * a * x ** (k - 1) for k, a in enumerate(coeffs) if k))
+        for x in xs
+    ]
+
+
+class TestPredictRoot:
+    QUINTIC = (0.3, 2.0, -1.5, 0.7, 0.4, -0.9)
+
+    @pytest.mark.parametrize("degree,nodes", [(5, (0.1, 0.25, 0.4)), (3, (0.25, 0.4)), (1, (0.4,))])
+    def test_reproduces_a_map_of_its_degree(self, degree, nodes):
+        # k nodes with their slopes fix a polynomial of degree 2k - 1
+        coeffs = self.QUINTIC[: degree + 1]
+        fits = _inverse_map(coeffs, nodes)
+        for eps in (0.45, 0.5, 0.6):
+            ((_, t, _),) = _inverse_map(coeffs, [eps])
+            assert _predict_root(fits, eps, -1.0) == pytest.approx(t, rel=1e-14)
+
+    def test_nodes_with_equal_psi_prime_are_left_out(self):
+        cubic = self.QUINTIC[:4]
+        old, new = _inverse_map(cubic, (0.25, 0.4))
+        ((_, t, _),) = _inverse_map(cubic, [0.5])
+        for fits in ([old, new, new], [new, old, new], [old, old, new]):
+            assert _predict_root(fits, 0.5, -1.0) == pytest.approx(t, rel=1e-14)
+        assert _predict_root([new, new], 0.5, -1.0) == _predict_root([new], 0.5, -1.0)
+
+    @pytest.mark.parametrize("fits,eps", [
+        ([(0.25, 0.8, 2.0)], 10.0),  # past twice the newest t
+        ([(0.25, 0.8, 2.0)], -10.0),  # below 0
+        ([(0.25, 0.8, 2.0)], math.nan),
+        ([(0.25, 0.8, math.inf)], 0.25),  # psi'' rounded to 0: inf times 0 is nan
+        ([(0.1, 0.5, 2.0), (0.25, 0.8, math.inf)], 0.3),
+    ])
+    def test_prediction_outside_the_doubling_limit_is_the_cold_guess(self, fits, eps):
+        assert _predict_root(fits, eps, 0.125) == 0.125
 
 
 class TestChernoffExponentExpansion:

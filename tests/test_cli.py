@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
 import hashlib
+import importlib.util
 import math
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -153,11 +155,11 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("alpha,beta,grid,digest", [
         ("2", "98", "0:0.05:100",
-         "14b436dd08af790fc04435bb61e878b146efce378529244e6cb8a6ecbc0cdde5"),
+         "4a18b2ba2160cf42cd594b7b40a1ecb598e3985636c82c2ab3d0c91e5fa30c1b"),
         ("2", "998", "0:0.005:100",
-         "1bf7ca2bb68196617bf9ac6eb9c2dc086bf2ac1b9d5f392a330722a42de2cf1a"),
+         "6d769afd5b4fa6931889656c82a7bfc91c4b7e65dc37496ab48cabed6790f6c2"),
         ("5", "5", "0:0.45:100",
-         "03fd92f95951b3c4ea0641818efe25242fd7f1810c48662a5701d441125f6107"),
+         "0dbf6f5317e0586c4c77296c3674744e3092b57499fa31bf58d9c3d80d416a67"),
     ])
     def test_paper_tables_keep_their_bytes(self, tmp_path, capsys, alpha, beta, grid, digest):
         # the paper's two tables (scripts/make_comparison_data.py) and a symmetric one;
@@ -166,6 +168,18 @@ class TestCompareCommand:
         assert main(["compare", "--alpha", alpha, "--beta", beta,
                      "--grid", grid, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_data_script_prints_the_digest_of_each_table(self, tmp_path, capsys):
+        # a change that moves cells takes the digests pinned above from one command
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_comparison_data.py"
+        spec = importlib.util.spec_from_file_location("make_comparison_data", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.run(tmp_path) == 0
+        printed = re.findall(r"^sha256 ([0-9a-f]{64})  (.+)$", capsys.readouterr().out, re.M)
+        assert [Path(path).name for _, path in printed] == [job[3] for job in module.JOBS]
+        for digest, path in printed:
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
     def test_byte_for_byte_determinism(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -409,6 +423,23 @@ class TestComparisonRowsApi:
             calls = 0
             comparison_rows(BetaParams(alpha, beta), GridSpec(0.0, stop, 100))
             assert calls <= 2.1 * 99  # every point but eps = 0 is solved
+
+    def test_three_node_prediction_takes_about_one_evaluation(self, monkeypatch):
+        # the quintic Hermite prediction through the last three solves meets the
+        # stop test in most cells, so most solves take a single evaluation
+        calls = 0
+        kernel = chernoff._cgf_kernel
+
+        def counted(a, b, t):
+            nonlocal calls
+            calls += 1
+            return kernel(a, b, t)
+
+        monkeypatch.setattr(chernoff, "_cgf_kernel", counted)
+        for alpha, beta, stop in [(2, 98, 0.05), (2, 998, 0.005)]:
+            calls = 0
+            comparison_rows(BetaParams(alpha, beta), GridSpec(0.0, stop, 100))
+            assert calls <= 1.25 * 99  # every point but eps = 0 is solved
 
     def test_exact_tail_reads_float_shapes(self, monkeypatch):
         # the exact column is formed from one float BetaParams, not from
