@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 
 from . import bounds, chernoff, moments
-from .cli import GridSpec, comparison_rows
+from .cli import comparison_rows
 from .specfun import _REL_TOL, gauss_2f1_terminating, log_gamma, regularized_incomplete_beta
 
 _SEED = 20260810
@@ -324,7 +324,7 @@ def check_comparison_ordering() -> str | None:
     """
     for a, b, stop in [(Fraction(2), Fraction(98), 0.05), (Fraction(2), Fraction(998), 0.005)]:
         params = moments.BetaParams(a, b)
-        rows = comparison_rows(params, GridSpec(0.0, stop, 100))
+        rows = comparison_rows(params, _linspace(0.0, stop, 100))
         for row in rows[1:-1]:
             if not row.exact < row.bernstein < row.subgaussian:
                 return (

@@ -151,12 +151,12 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
     the bracket bisects. Near the root Newton's model promises f at most
     g^2 / (|g'| t^3) more: the loop stops once that is below half an ulp of
     f, or the bracket is 1e-9 relative wide, and returns the largest f
-    evaluated. A root below t = 1e-12 leaves f within t/3 of v relative
-    (|c| <= 1): v is returned. The root grows with the shape: over shapes
-    from 1e-3 to 1e5 it stays below 18 (alpha+beta+1). A NaN residual, a
-    step past t = 1e3 (alpha+beta+1), no root in 200 steps or a value 1e-9
-    over Elder's proxy 1/(4 (alpha+beta+1)) (arXiv:1611.00065) raises
-    ConvergenceError.
+    evaluated. A near-symmetric shape's root nears 0: below it g is about
+    kappa_4 t^4 / 12, so the stop fires by t^2 = 2^-52 24 v / |kappa_4|. Over
+    shapes from 1e-3 to 1e5 the root stays below 18 (alpha+beta+1). A NaN
+    residual, a step past t = 1e3 (alpha+beta+1), no root in 200 steps or a
+    value 1e-9 over Elder's proxy 1/(4 (alpha+beta+1)) (arXiv:1611.00065)
+    raises ConvergenceError.
     """
     v = float(sub_gamma_params(params).v)
     if params.alpha == params.beta:
@@ -179,8 +179,6 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
             lo = t
         else:
             hi = t
-            if hi <= 1e-12:
-                return best
         slope = t * d2psi - dpsi  # g', negative near the root
         newton = t - g / slope if slope != 0.0 else math.nan
         if g == 0.0 or hi - lo <= 1e-9 * lo or g * g <= 2.0**-52 * -slope * t * psi:
@@ -188,7 +186,7 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
         if hi == math.inf:
             t = newton if t < newton < 2.0 * lo else 2.0 * lo
         elif lo == 0.0:
-            t = max(newton if 0.0 < newton < 0.5 * hi else 0.5 * hi, 1e-12)
+            t = newton if 0.0 < newton < 0.5 * hi else 0.5 * hi
         else:
             t = newton if lo < newton < hi else 0.5 * (lo + hi)
         if t > t_limit:
@@ -202,7 +200,9 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
         )
     elder = 1.0 / (4.0 * (float(params.total) + 1.0))
     if not best <= elder * (1.0 + 1e-9):
-        raise ConvergenceError(f"sub-gaussian proxy {best} exceeds Elder's bound {elder}")
+        raise ConvergenceError(
+            f"sub-gaussian proxy {best} exceeds Elder's bound {elder} after {step} steps"
+        )
     return best
 
 

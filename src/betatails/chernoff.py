@@ -112,7 +112,8 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
     1F1 series peaks at index 2^53 or past it (eps within about b / 9e15 of
     the width) raises ConvergenceError. exponent is the largest t eps -
     psi(t) evaluated, at least 0, so it is a valid exponent wherever the
-    loop stops, and t_star the t that gave it.
+    loop stops, and t_star the last t that gave it, so a root whose
+    exponent underflows to 0 still reports its tilt.
     """
     a, b = float(params.alpha), float(params.beta)
     width = 1.0 - a / (a + b)
@@ -141,7 +142,7 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
             t_last = t
             psi, slope, curvature, _ = _cgf_kernel(a, b, t)
             f = t * eps - psi
-            if f > best_f:
+            if f >= best_f:
                 best_f, best_t = f, t
             if slope < eps:
                 lo = t

@@ -34,34 +34,6 @@ class SoundnessError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Deviation grid [start, stop] sampled at `steps` points."""
-
-    start: float
-    stop: float
-    steps: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError(f"grid start and stop must be finite, got {self.start}:{self.stop}")
-        if self.start < 0:
-            raise ValueError(f"grid start must be non-negative, got {self.start}")
-        if self.stop <= self.start:
-            raise ValueError(f"grid stop must exceed start, got {self.start}:{self.stop}")
-        if self.steps < 2:
-            raise ValueError(f"grid needs at least 2 steps, got {self.steps}")
-
-    def points(self, log_spacing: bool = False) -> list[float]:
-        if log_spacing:
-            if self.start <= 0:
-                raise ValueError("log-spaced grids need a positive start")
-            r = math.log(self.stop / self.start)
-            return [self.start * math.exp(r * i / (self.steps - 1)) for i in range(self.steps)]
-        span = self.stop - self.start
-        return [self.start + span * i / (self.steps - 1) for i in range(self.steps)]
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     epsilon: float
     exact: float
@@ -73,25 +45,21 @@ class ComparisonRow:
 CSV_HEADER = "epsilon,exact,bernstein,subgaussian,chernoff"
 
 
-def comparison_rows(
-    params: moments.BetaParams,
-    grid: GridSpec,
-    log_spacing: bool = False,
-) -> list[ComparisonRow]:
-    """Upper-tail comparison rows over the grid, soundness-checked.
+def comparison_rows(params: moments.BetaParams, epss: list[float]) -> list[ComparisonRow]:
+    """Upper-tail comparison rows, one per deviation of epss in order, soundness-checked.
 
     The shape as a float BetaParams (the exact tail reads floats anyway), its
     (v, c) and the sub-gaussian proxy are formed once per call. The Chernoff
     column is exp(-psi*(eps)) from one chernoff.chernoff_exponents sweep of
-    the grid. An unconverged solve still yields a valid bound, since every
-    evaluated t gives one, and each such point is reported on stderr.
+    epss, so a NaN or negative deviation raises ValueError. An unconverged
+    solve still yields a valid bound, since every evaluated t gives one, and
+    each such point is reported on stderr.
     """
     bern_sg = bounds._upper_bound_params(params, bounds.sub_gamma_params(params))
     proxy = bounds.subgaussian_optimal_proxy(params)
     shape = moments.BetaParams(float(params.alpha), float(params.beta))
-    points = grid.points(log_spacing)
     rows = []
-    for eps, result in zip(points, chernoff.chernoff_exponents(params, points)):
+    for eps, result in zip(epss, chernoff.chernoff_exponents(params, epss)):
         exact = bounds.exact_tail(shape, eps, bounds.TailSide.UPPER)
         bern = bounds.sub_gamma_bound(bern_sg, eps)
         subg = bounds.subgaussian_bound(params, eps, proxy=proxy)
@@ -151,17 +119,31 @@ def _parse_params(args) -> moments.BetaParams:
     return moments.BetaParams(parse_scalar(args.alpha), parse_scalar(args.beta))
 
 
-def _parse_grid(text: str) -> GridSpec:
+def parse_grid(text: str, log_spacing: bool = False) -> list[float]:
+    """Deviations of the grid start:stop:steps, evenly or log-evenly spaced."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:steps, got {text!r}")
-    return GridSpec(start=float(parts[0]), stop=float(parts[1]), steps=int(parts[2]))
+    start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid start and stop must be finite, got {start}:{stop}")
+    if start < 0:
+        raise ValueError(f"grid start must be non-negative, got {start}")
+    if stop <= start:
+        raise ValueError(f"grid stop must exceed start, got {start}:{stop}")
+    if steps < 2:
+        raise ValueError(f"grid needs at least 2 steps, got {steps}")
+    if log_spacing:
+        if start <= 0:
+            raise ValueError("log-spaced grids need a positive start")
+        r = math.log(stop / start)
+        return [start * math.exp(r * i / (steps - 1)) for i in range(steps)]
+    span = stop - start
+    return [start + span * i / (steps - 1) for i in range(steps)]
 
 
 def cmd_moments(args) -> int:
     params = _parse_params(args)
-    if args.dmax < 0:
-        raise ValueError(f"--dmax must be non-negative, got {args.dmax}")
     table = moments.central_moments_recursive(params, args.dmax)
     print(f"central moments of Beta({params.alpha}, {params.beta})")
     print(f"{'d':>4}  {'mu_d':<24}  decimal")
@@ -172,8 +154,6 @@ def cmd_moments(args) -> int:
 
 def cmd_bound(args) -> int:
     params = _parse_params(args)
-    if args.eps < 0:
-        raise ValueError(f"--eps must be non-negative, got {args.eps}")
     side = bounds.TailSide(args.side)
     # report the parameters of the side actually evaluated (lower = swapped upper)
     effective = params if side is bounds.TailSide.UPPER else params.swapped()
@@ -193,9 +173,9 @@ def cmd_bound(args) -> int:
 
 def cmd_compare(args) -> int:
     params = _parse_params(args)
-    grid = _parse_grid(args.grid)
+    epss = parse_grid(args.grid, args.log_grid)
     try:
-        rows = comparison_rows(params, grid, log_spacing=args.log_grid)
+        rows = comparison_rows(params, epss)
     except SoundnessError as exc:
         print(f"soundness violation: {exc}", file=sys.stderr)
         return 4

@@ -1,6 +1,7 @@
 """Tests for the closed-form tail bounds and the sub-gaussian competitor."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -300,6 +301,44 @@ class TestSubgaussianProxy:
         monkeypatch.setattr(bounds, "_cgf_kernel", kernel)
         with pytest.raises(ConvergenceError, match=r"residual is nan at t=0\.62.* after 7 steps"):
             subgaussian_optimal_proxy(BetaParams(2, 98))
+
+    def test_residual_below_zero_everywhere_runs_out_of_steps(self, monkeypatch):
+        # g < 0 at every t: each step halves t from 40.2 and no bracket closes,
+        # so the loop spends its whole budget
+        monkeypatch.setattr(bounds, "_cgf_kernel", lambda a, b, t: (0.0, 0.0, 0.0, -1.0))
+        with pytest.raises(ConvergenceError, match=r"root not found for .* in 200 steps: \[0\.0, "):
+            subgaussian_optimal_proxy(BetaParams(2, 98))
+
+    def test_value_over_elder_bound_reports_steps(self, monkeypatch):
+        # psi = 10 gives 2 psi / t^2 = 0.0124 at the start t = 40.2, five times
+        # Elder's 1 / (4 (2 + 98 + 1)); the root is found at the third tilt, 161
+        kernel = lambda a, b, t: (10.0, 0.0, 0.0, 1.0 if t < 100.0 else 0.0)
+        monkeypatch.setattr(bounds, "_cgf_kernel", kernel)
+        message = r"exceeds Elder's bound 0\.0024752.* after 3 steps$"
+        with pytest.raises(ConvergenceError, match=message):
+            subgaussian_optimal_proxy(BetaParams(2, 98))
+
+    def test_near_symmetric_roots_stop_clear_of_zero(self, monkeypatch):
+        # b = a (1 + delta): the root nears 0 with delta, and the half-ulp stop
+        # fires far above t = 1e-12. The proxy lies within [v, Elder's bound],
+        # which round an ulp apart, in either order, at the most symmetric shapes
+        tilts = []
+        kernel = bounds._cgf_kernel
+
+        def recorded(a, b, t):
+            tilts.append(t)
+            return kernel(a, b, t)
+
+        monkeypatch.setattr(bounds, "_cgf_kernel", recorded)
+        rng = random.Random(2017)
+        for _ in range(400):
+            a = 10.0 ** rng.uniform(-3.0, 7.0)
+            p = BetaParams(a, a * (1.0 + 10.0 ** rng.uniform(-16.0, -2.0)))
+            tilts.clear()
+            proxy = subgaussian_optimal_proxy(p)
+            elder = 1.0 / (4.0 * (p.total + 1.0))
+            assert float(sub_gamma_params(p).v) <= proxy <= elder * (1.0 + 1e-15), p
+            assert len(tilts) <= 64 and min(tilts, default=1.0) > 1e-12, p
 
     @pytest.mark.parametrize("a,b", [(2, 98), (2, 998)])
     def test_paper_shapes_take_few_kernel_evaluations(self, monkeypatch, a, b):

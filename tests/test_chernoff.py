@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from betatails import chernoff
 from betatails.bounds import TailSide, bernstein_tail_bound, exact_tail, sub_gamma_params
 from betatails.chernoff import (
     ChernoffResult,
@@ -283,7 +284,42 @@ class TestChernoffExponent:
         p = BetaParams(2, 98)
         res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
         assert res.converged
-        assert res.exponent == pytest.approx(chernoff_exponent_expansion(p, eps), rel=2.0**-52)
+        expansion = chernoff_exponent_expansion(p, eps)
+        assert res.exponent == pytest.approx(expansion, rel=2.0**-52, abs=0.0)
+
+    def test_newton_step_out_of_the_bracket_bisects(self, monkeypatch):
+        # at Beta(0.01, 1e4), eps = 0.1 a Newton step from above the root lands
+        # below the bracket's lower end; the solve bisects there and still
+        # reaches the root
+        p, eps = BetaParams(0.01, 1e4), 0.1
+        tilts = []
+        kernel = chernoff._cgf_kernel
+
+        def recorded(a, b, t):
+            out = kernel(a, b, t)
+            tilts.append((t, out[1]))
+            return out
+
+        monkeypatch.setattr(chernoff, "_cgf_kernel", recorded)
+        res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
+        bisections = 0
+        for k in range(2, len(tilts)):
+            lo = max((t for t, slope in tilts[:k] if slope < eps), default=0.0)
+            hi = min((t for t, slope in tilts[:k] if slope >= eps), default=math.inf)
+            bisections += hi < math.inf and tilts[k][0] == 0.5 * (lo + hi)
+        assert bisections >= 1
+        assert res.converged
+        assert res.exponent == pytest.approx(float(_mp_chernoff(0.01, 1e4, eps)), rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-170, 1e-200, 1e-300])
+    def test_underflowing_exponent_keeps_its_tilt(self, eps):
+        # eps^2 / (2v) underflows to 0 here, so every evaluated t ties at f = 0;
+        # the root eps / v is still reported, and the exponent is +0.0
+        p = BetaParams(2, 98)
+        res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
+        assert res.converged
+        assert res.exponent == 0.0 and math.copysign(1.0, res.exponent) == 1.0
+        assert res.t_star == pytest.approx(eps / float(sub_gamma_params(p).v), rel=1e-12, abs=0.0)
 
 
 class TestChernoffExponents:

@@ -14,9 +14,9 @@ from betatails import _verify, bounds, chernoff
 from betatails.cli import (
     CSV_HEADER,
     ComparisonRow,
-    GridSpec,
     comparison_rows,
     main,
+    parse_grid,
     parse_scalar,
     render_csv,
 )
@@ -45,19 +45,21 @@ class TestParseScalar:
 
 
 class TestGridSpec:
+    """The --grid spec start:stop:steps, as parse_grid reads it."""
+
     def test_linear_points(self):
-        pts = GridSpec(0.0, 1.0, 5).points()
+        pts = parse_grid("0.0:1.0:5")
         assert pts == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_log_points(self):
-        pts = GridSpec(0.01, 1.0, 3).points(log_spacing=True)
+        pts = parse_grid("0.01:1.0:3", log_spacing=True)
         assert pts[0] == pytest.approx(0.01)
         assert pts[1] == pytest.approx(0.1)
         assert pts[2] == pytest.approx(1.0)
 
     def test_log_needs_positive_start(self):
         with pytest.raises(ValueError):
-            GridSpec(0.0, 1.0, 3).points(log_spacing=True)
+            parse_grid("0.0:1.0:3", log_spacing=True)
 
     @pytest.mark.parametrize(
         "start,stop,steps",
@@ -66,7 +68,7 @@ class TestGridSpec:
     )
     def test_invalid_specs(self, start, stop, steps):
         with pytest.raises(ValueError):
-            GridSpec(start, stop, steps)
+            parse_grid(f"{start}:{stop}:{steps}")
 
 
 class TestMomentsCommand:
@@ -92,6 +94,12 @@ class TestMomentsCommand:
         assert main(["moments", "--alpha", "-2", "--beta", "3", "--dmax", "3"]) == 2
         assert main(["moments", "--alpha", "2", "--beta", "3", "--dmax", "-1"]) == 2
 
+    def test_negative_order_is_the_library_error_before_any_output(self, capsys):
+        assert main(["moments", "--alpha", "2", "--beta", "3", "--dmax", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "argument error: dmax must be non-negative, got -1\n"
+
 
 class TestBoundCommand:
     def test_skewed_upper(self, capsys):
@@ -111,6 +119,14 @@ class TestBoundCommand:
         assert float(bound_line.split("=")[1]) == pytest.approx(
             math.exp(-101 / 98), rel=1e-12
         )
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_negative_eps_is_the_library_error_before_any_output(self, side, capsys):
+        assert main(["bound", "--alpha", "2", "--beta", "98", "--eps", "-0.01",
+                     "--side", side]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "argument error: eps must be non-negative, got -0.01\n"
 
     def test_zero_eps_gives_unit_bound(self, capsys):
         assert main(["bound", "--alpha", "2", "--beta", "98", "--eps", "0",
@@ -154,12 +170,15 @@ class TestCompareCommand:
         assert "\r" not in text
 
     @pytest.mark.parametrize("alpha,beta,grid,digest", [
-        ("2", "98", "0:0.05:100",
-         "4a18b2ba2160cf42cd594b7b40a1ecb598e3985636c82c2ab3d0c91e5fa30c1b"),
-        ("2", "998", "0:0.005:100",
-         "6d769afd5b4fa6931889656c82a7bfc91c4b7e65dc37496ab48cabed6790f6c2"),
-        ("5", "5", "0:0.45:100",
-         "0dbf6f5317e0586c4c77296c3674744e3092b57499fa31bf58d9c3d80d416a67"),
+        pytest.param("2", "98", "0:0.05:100",
+                     "4a18b2ba2160cf42cd594b7b40a1ecb598e3985636c82c2ab3d0c91e5fa30c1b",
+                     id="beta_2_98"),
+        pytest.param("2", "998", "0:0.005:100",
+                     "6d769afd5b4fa6931889656c82a7bfc91c4b7e65dc37496ab48cabed6790f6c2",
+                     id="beta_2_998"),
+        pytest.param("5", "5", "0:0.45:100",
+                     "0dbf6f5317e0586c4c77296c3674744e3092b57499fa31bf58d9c3d80d416a67",
+                     id="beta_5_5"),
     ])
     def test_paper_tables_keep_their_bytes(self, tmp_path, capsys, alpha, beta, grid, digest):
         # the paper's two tables (scripts/make_comparison_data.py) and a symmetric one;
@@ -232,7 +251,7 @@ class TestCompareCommand:
         warnings = captured.err.splitlines()
         assert len(warnings) == 1
         assert "eps=0.9799999" in warnings[0] and "t_star=" in warnings[0]
-        rows = comparison_rows(BetaParams(2, 98), GridSpec(0.5, 0.9799999, 2))
+        rows = comparison_rows(BetaParams(2, 98), parse_grid("0.5:0.9799999:2"))
         assert out.read_text(encoding="utf-8") == render_csv(rows)
 
     @pytest.mark.parametrize("alpha,beta,grid", [
@@ -352,27 +371,27 @@ class TestVerifyCommand:
 
 class TestComparisonRowsApi:
     def test_epsilon_zero_row(self):
-        rows = comparison_rows(BetaParams(2, 98), GridSpec(0.0, 0.02, 3))
+        rows = comparison_rows(BetaParams(2, 98), parse_grid("0:0.02:3"))
         assert rows[0].bernstein == 1.0
         assert rows[0].subgaussian == 1.0
         assert rows[0].chernoff == 1.0
         assert 0.0 < rows[0].exact < 1.0
 
     @pytest.mark.parametrize("alpha,beta,grid,log_spacing", [
-        (2, 98, GridSpec(0.0, 0.05, 100), False),
-        (2, 998, GridSpec(0.0, 0.005, 100), False),
-        (5, 5, GridSpec(0.0, 0.45, 100), False),
-        (98, 2, GridSpec(0.0, 0.0196, 100), False),
-        (300, 20, GridSpec(0.0, 0.0625, 100), False),
-        (2, 998, GridSpec(0.0, 0.998, 400), False),
-        (2, 98, GridSpec(1e-6, 0.97, 200), True),
+        (2, 98, (0.0, 0.05, 100), False),
+        (2, 998, (0.0, 0.005, 100), False),
+        (5, 5, (0.0, 0.45, 100), False),
+        (98, 2, (0.0, 0.0196, 100), False),
+        (300, 20, (0.0, 0.0625, 100), False),
+        (2, 998, (0.0, 0.998, 400), False),
+        (2, 98, (1e-6, 0.97, 200), True),
     ])
     def test_warm_started_cells_match_cold_solves(self, alpha, beta, grid, log_spacing, capsys):
         # the kernel's psi is within 6e-16 t, so two stops near t* may read
         # exponents 1e-15 max(1, t*) apart; cells that round to subnormals
         # may differ by one more subnormal step
         params = BetaParams(alpha, beta)
-        rows = comparison_rows(params, grid, log_spacing)
+        rows = comparison_rows(params, parse_grid("{}:{}:{}".format(*grid), log_spacing))
         warned = set(re.findall(r"eps=(\S+),", capsys.readouterr().err))
         width = 1.0 - alpha / (alpha + beta)
         solved = [row for row in rows if 0.0 < row.epsilon < width]
@@ -386,9 +405,9 @@ class TestComparisonRowsApi:
 
     @pytest.mark.parametrize("alpha,beta,stop", [(2, 98, 0.05), (2, 998, 0.005)])
     def test_chernoff_column_is_one_sweep_of_the_library(self, alpha, beta, stop):
-        params, grid = BetaParams(alpha, beta), GridSpec(0.0, stop, 100)
-        rows = comparison_rows(params, grid)
-        results = chernoff.chernoff_exponents(params, grid.points())
+        params, epss = BetaParams(alpha, beta), parse_grid(f"0:{stop}:100")
+        rows = comparison_rows(params, epss)
+        results = chernoff.chernoff_exponents(params, epss)
         assert [row.chernoff for row in rows] == [math.exp(-r.exponent) for r in results]
 
     def test_warm_start_halves_kernel_evaluations(self, monkeypatch):
@@ -404,7 +423,7 @@ class TestComparisonRowsApi:
         monkeypatch.setattr(chernoff, "_cgf_kernel", counted)
         for alpha, beta, stop in [(2, 98, 0.05), (2, 998, 0.005)]:
             calls = 0
-            comparison_rows(BetaParams(alpha, beta), GridSpec(0.0, stop, 100))
+            comparison_rows(BetaParams(alpha, beta), parse_grid(f"0:{stop}:100"))
             assert calls <= 3.5 * 99  # every point but eps = 0 is solved
 
     def test_second_order_prediction_takes_about_two_evaluations(self, monkeypatch):
@@ -421,7 +440,7 @@ class TestComparisonRowsApi:
         monkeypatch.setattr(chernoff, "_cgf_kernel", counted)
         for alpha, beta, stop in [(2, 98, 0.05), (2, 998, 0.005)]:
             calls = 0
-            comparison_rows(BetaParams(alpha, beta), GridSpec(0.0, stop, 100))
+            comparison_rows(BetaParams(alpha, beta), parse_grid(f"0:{stop}:100"))
             assert calls <= 2.1 * 99  # every point but eps = 0 is solved
 
     def test_three_node_prediction_takes_about_one_evaluation(self, monkeypatch):
@@ -438,7 +457,7 @@ class TestComparisonRowsApi:
         monkeypatch.setattr(chernoff, "_cgf_kernel", counted)
         for alpha, beta, stop in [(2, 98, 0.05), (2, 998, 0.005)]:
             calls = 0
-            comparison_rows(BetaParams(alpha, beta), GridSpec(0.0, stop, 100))
+            comparison_rows(BetaParams(alpha, beta), parse_grid(f"0:{stop}:100"))
             assert calls <= 1.25 * 99  # every point but eps = 0 is solved
 
     def test_exact_tail_reads_float_shapes(self, monkeypatch):
@@ -452,7 +471,7 @@ class TestComparisonRowsApi:
             return exact_tail(params, eps, side)
 
         monkeypatch.setattr(bounds, "exact_tail", recorded)
-        rows = comparison_rows(BetaParams(2, 98), GridSpec(0.0, 0.05, 5))
+        rows = comparison_rows(BetaParams(2, 98), parse_grid("0:0.05:5"))
         assert len(seen) == 5 and all(p == BetaParams(2.0, 98.0) for p in seen)
         assert all(type(p.alpha) is float and type(p.beta) is float for p in seen)
         assert [r.exact for r in rows] == [
@@ -472,6 +491,6 @@ class TestComparisonRowsApi:
         counts = []
         for steps in (3, 100):
             calls = 0
-            comparison_rows(BetaParams(2, 98), GridSpec(0.0, 0.05, steps))
+            comparison_rows(BetaParams(2, 98), parse_grid(f"0:0.05:{steps}"))
             counts.append(calls)
         assert counts[0] == counts[1]

@@ -7,7 +7,7 @@ import inspect
 from pathlib import Path
 
 import betatails
-from betatails import _verify
+from betatails import _verify, cli
 
 PUBLIC_API = [
     "BetaParams",
@@ -147,3 +147,19 @@ def test_verify_has_one_configuration():
     for name, fn in _verify.CHECKS:
         assert inspect.signature(fn).parameters == {}, name
     assert inspect.signature(_verify.run_verification).parameters == {}
+
+
+def test_comparison_engine_takes_deviations():
+    # the grid is CLI syntax, parsed by cli.parse_grid; the engine and _verify
+    # see only the deviations, and _verify reads nothing else from cli
+    src = Path(betatails.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
+    assert not [name for name, tree in trees.items() if "GridSpec" in _identifiers(tree)]
+    assert list(inspect.signature(cli.comparison_rows).parameters) == ["params", "epss"]
+    from_cli = [
+        alias.name
+        for node in ast.walk(trees["_verify.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "cli"
+        for alias in node.names
+    ]
+    assert from_cli == ["comparison_rows"]
