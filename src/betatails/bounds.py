@@ -83,12 +83,13 @@ def bernstein_tail_bound(params: BetaParams, eps: float, side: TailSide) -> floa
     """
     if side is TailSide.LOWER:
         return bernstein_tail_bound(params.swapped(), eps, TailSide.UPPER)
-    return sub_gamma_bound(_upper_bound_params(params, sub_gamma_params(params)), eps)
+    return sub_gamma_bound(bernstein_params(params), eps)
 
 
-def _upper_bound_params(params: BetaParams, sg: SubGammaParams) -> SubGammaParams:
-    """The (v, c) of the upper-side bound from sg = sub_gamma_params(params):
-    sg itself when beta >= alpha, c = 0 (the gaussian shape) when beta < alpha."""
+def bernstein_params(params: BetaParams) -> SubGammaParams:
+    """The (v, c) of the upper-side Bernstein bound: sub_gamma_params(params)
+    when beta >= alpha, c = 0 (the gaussian shape) when beta < alpha."""
+    sg = sub_gamma_params(params)
     return sg if params.beta >= params.alpha else SubGammaParams(v=sg.v, c=0)
 
 
@@ -206,15 +207,13 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
     return best
 
 
-def subgaussian_bound(params: BetaParams, eps: float, *, proxy: float | None = None) -> float:
+def subgaussian_bound(params: BetaParams, eps: float) -> float:
     """exp(-eps^2 / (2 sigma^2)) with sigma^2 the optimal sub-gaussian proxy.
 
-    Side-independent. Pass a precomputed proxy to skip the optimization when
-    evaluating many deviations for one parameter pair.
+    Side-independent: the sub-gamma shape at (sigma^2, 0). eps is checked
+    before the proxy is solved. For many deviations of one shape, pass
+    SubGammaParams(v=proxy, c=0) to sub_gamma_bound: the same bits.
     """
     if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
-    sigma2 = subgaussian_optimal_proxy(params) if proxy is None else proxy
-    if eps == 0:
-        return 1.0
-    return math.exp(-eps * eps / (2.0 * sigma2))
+    return sub_gamma_bound(SubGammaParams(v=subgaussian_optimal_proxy(params), c=0), eps)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import bounds, chernoff, moments
 from .specfun import ConvergenceError
@@ -33,8 +33,7 @@ class SoundnessError(RuntimeError):
     """A generated comparison row violated a bound-ordering invariant."""
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     epsilon: float
     exact: float
     bernstein: float
@@ -42,27 +41,28 @@ class ComparisonRow:
     chernoff: float
 
 
-CSV_HEADER = "epsilon,exact,bernstein,subgaussian,chernoff"
+CSV_HEADER = ",".join(ComparisonRow._fields)
 
 
 def comparison_rows(params: moments.BetaParams, epss: list[float]) -> list[ComparisonRow]:
     """Upper-tail comparison rows, one per deviation of epss in order, soundness-checked.
 
-    The shape as a float BetaParams (the exact tail reads floats anyway), its
-    (v, c) and the sub-gaussian proxy are formed once per call. The Chernoff
-    column is exp(-psi*(eps)) from one chernoff.chernoff_exponents sweep of
-    epss, so a NaN or negative deviation raises ValueError. An unconverged
-    solve still yields a valid bound, since every evaluated t gives one, and
-    each such point is reported on stderr.
+    The shape as a float BetaParams (the exact tail reads floats anyway) and
+    the two closed-form columns' (v, c) pairs, the Bernstein pair and
+    (proxy, 0), are formed once per call; bounds.sub_gamma_bound reads both.
+    The Chernoff column is exp(-psi*(eps)) from one chernoff.chernoff_exponents
+    sweep of epss, so a NaN or negative deviation raises ValueError. An
+    unconverged solve still yields a valid bound, since every evaluated t gives
+    one, and each such point is reported on stderr.
     """
-    bern_sg = bounds._upper_bound_params(params, bounds.sub_gamma_params(params))
-    proxy = bounds.subgaussian_optimal_proxy(params)
+    bern_sg = bounds.bernstein_params(params)
+    subg_sg = bounds.SubGammaParams(v=bounds.subgaussian_optimal_proxy(params), c=0)
     shape = moments.BetaParams(float(params.alpha), float(params.beta))
     rows = []
     for eps, result in zip(epss, chernoff.chernoff_exponents(params, epss)):
         exact = bounds.exact_tail(shape, eps, bounds.TailSide.UPPER)
         bern = bounds.sub_gamma_bound(bern_sg, eps)
-        subg = bounds.subgaussian_bound(params, eps, proxy=proxy)
+        subg = bounds.sub_gamma_bound(subg_sg, eps)
         if not result.converged:
             print(f"warning: Chernoff optimizer unconverged at eps={eps!r}, "
                   f"t_star={result.t_star!r}", file=sys.stderr)
@@ -93,10 +93,7 @@ def _check_row(params: moments.BetaParams, row: ComparisonRow) -> None:
 def render_csv(rows: list[ComparisonRow]) -> str:
     """Deterministic CSV text: shortest round-trip decimals, LF endings."""
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.epsilon!r},{r.exact!r},{r.bernstein!r},{r.subgaussian!r},{r.chernoff!r}"
-        )
+    lines.extend(",".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

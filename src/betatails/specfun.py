@@ -245,10 +245,11 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
     Tolerance against mpmath's 1F1 at 50 digits on 2,989 random points
     (shapes 1e-3 to 1e4, t from 1e-2 to 3e4): psi is within 6e-16 t. On the
     series and the walk psi' is within 7e-15 and psi'' within 6e-14
-    relative at any shape ratio. The forward pass, where t psi' = E[k] -
-    t a / s, loses digits as the shape ratio grows: psi' is within 3e-13
-    while the larger shape is under 1e3 times the smaller and 4e-11 beyond,
-    psi'' within 5e-11 and 4e-10.
+    relative at any shape ratio, down to alpha = 1e-3 (300 seeded walk points,
+    alpha from 1e-3 to 1: psi 4.2e-16 t, psi' 3.4e-15). The forward pass,
+    where t psi' = E[k] - t a / s, loses digits as the shape ratio grows:
+    psi' is within 3e-13 while the larger shape is under 1e3 times the
+    smaller and 4e-11 beyond, psi'' within 5e-11 and 4e-10.
     """
     s = a + b
     if t < 2.0**-200:
@@ -322,8 +323,8 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
                 ratio = (a + k) * t * u / (k + 1.0)
                 u, v = v, 1.0 / (s + k + 2.0)
             elif h == 1 and k > 0.0:
-                u, v = 1.0 / (s + k - 1.0), u
-                ratio = k / ((a + k - 1.0) * t * u)
+                u, v = 1.0 / (s + (k - 1.0)), u  # k - 1 first: s + k would round a tiny s
+                ratio = k / ((a + (k - 1.0)) * t * u)
             elif h > 1 and k + step >= 0.0:
                 j = k + step - peak
                 ratio = math.exp(_log_term_ratio(big_a, big_s, big_k, t, j, omega_peak)) / term

@@ -430,9 +430,13 @@ class TestSubgaussianProxyOracle:
 
 
 class TestSubgaussianBound:
-    def test_nan_eps_rejected(self):
+    def test_nan_eps_rejected(self, monkeypatch):
+        def unreachable(params):
+            raise AssertionError("the proxy was solved for a bad eps")
+
+        monkeypatch.setattr(bounds, "subgaussian_optimal_proxy", unreachable)
         with pytest.raises(ValueError):
-            subgaussian_bound(BetaParams(2, 98), math.nan, proxy=1e-3)
+            subgaussian_bound(BetaParams(2, 98), math.nan)
 
     def test_unit_at_zero(self):
         assert subgaussian_bound(BetaParams(2, 98), 0.0) == 1.0
@@ -450,6 +454,12 @@ class TestSubgaussianBound:
         assert subgaussian_bound(p, 0.02) > bernstein_tail_bound(p, 0.02, TailSide.UPPER)
 
     def test_precomputed_proxy_shortcut(self):
+        # many deviations of one shape: the sub-gamma shape at (proxy, 0), bit for bit,
+        # which is exp(-eps^2 / (2 proxy)) as v + 0 eps / 3 is v
         p = BetaParams(2, 98)
         proxy = subgaussian_optimal_proxy(p)
-        assert subgaussian_bound(p, 0.01, proxy=proxy) == subgaussian_bound(p, 0.01)
+        sg = SubGammaParams(v=proxy, c=0)
+        for eps in (0.0, 1e-3, 0.01, 0.05, 0.5, math.inf):
+            value = subgaussian_bound(p, eps)
+            assert sub_gamma_bound(sg, eps) == value
+            assert value == (math.exp(-eps * eps / (2.0 * proxy)) if eps else 1.0)

@@ -317,13 +317,16 @@ class TestCgfKernelOracle:
             assert dpsi == pytest.approx(float(dref), rel=1e-12, abs=0.0)
             assert d2psi == pytest.approx(float(d2ref), rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("a,b,t", [(2041.7, 0.0016, 209.0), (9337.7, 0.3, 555.0)])
+    @pytest.mark.parametrize("a,b,t", [
+        (2041.7, 0.0016, 209.0), (9337.7, 0.3, 555.0), (0.001, 15.0, 30.0), (0.005, 15.0, 30.0),
+    ])
     def test_matches_mpmath_at_extreme_shape_ratios(self, a, b, t):
         # psi' = b E[k / (s (s+k))] under the tilted weights does not cancel
         # as the shape ratio grows; t psi' as a difference of the mean index
-        # and t would lose digits in proportion to it
+        # and t would lose digits in proportion to it. A tiny alpha walks down
+        # to k = 1, where s + k - 1 and a + k - 1 must not round s or a to 2^-52 absolute
         psi, dpsi, d2psi, _ = _cgf_kernel(a, b, t)
         ref, dref, d2ref = _mp_cgf(a, b, t)
-        assert abs(psi - ref) <= 2e-15 * t
-        assert dpsi == pytest.approx(float(dref), rel=1e-12, abs=0.0)
-        assert d2psi == pytest.approx(float(d2ref), rel=1e-9, abs=0.0)
+        assert abs(psi - ref) <= 6e-16 * t
+        assert dpsi == pytest.approx(float(dref), rel=7e-15, abs=0.0)
+        assert d2psi == pytest.approx(float(d2ref), rel=6e-14, abs=0.0)

@@ -101,18 +101,31 @@ def test_only_chernoff_holds_the_solve():
     solve_names = {"_predict_root", "_SOLVE_STEPS"}
     users = {name for name, tree in trees.items() if solve_names & _identifiers(tree)}
     assert users == {"chernoff.py"}
-    private = [
+    assert _private_reads(trees["cli.py"], "chernoff") == []
+
+
+def _private_reads(tree: ast.AST, module: str) -> list[str]:
+    """The _-prefixed names a source tree reads as module.name or imports from module."""
+    return [
         node.attr
-        for node in ast.walk(trees["cli.py"])
+        for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr.startswith("_")
-        and isinstance(node.value, ast.Name) and node.value.id == "chernoff"
+        and isinstance(node.value, ast.Name) and node.value.id == module
     ] + [
         alias.name
-        for node in ast.walk(trees["cli.py"])
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("chernoff")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(module)
         for alias in node.names if alias.name.startswith("_")
     ]
-    assert private == []
+
+
+def test_closed_form_columns_are_sub_gamma_pairs():
+    # one closed-form bound: cli forms each closed-form column's (v, c) through
+    # bounds' public names, and the sub-gaussian bound has no proxy knob
+    src = Path(betatails.__file__).parent
+    cli_tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    assert _private_reads(cli_tree, "bounds") == []
+    assert list(inspect.signature(betatails.subgaussian_bound).parameters) == ["params", "eps"]
 
 
 def _harness_function_names() -> list[str]:
