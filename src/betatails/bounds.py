@@ -30,14 +30,14 @@ class TailSide(Enum):
 
 @dataclass(frozen=True)
 class SubGammaParams:
-    """Variance proxy v and scale c of the sub-gamma tail shape."""
+    """Variance proxy v and scale c of the sub-gamma tail shape: 0 < v < inf, c finite."""
 
     v: Scalar
     c: Scalar
 
     def __post_init__(self):
-        if not self.v > 0:  # rejects nan too
-            raise ValueError(f"variance proxy must be positive, got v={self.v}")
+        if not (0 < self.v < math.inf and -math.inf < self.c < math.inf):  # nan fails too
+            raise ValueError(f"need 0 < v < inf and a finite c, got v={self.v}, c={self.c}")
 
 
 def sub_gamma_params(params: BetaParams) -> SubGammaParams:
@@ -61,8 +61,6 @@ def sub_gamma_bound(sg: SubGammaParams, eps: float) -> float:
     """
     if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
-    if eps == 0:
-        return 1.0
     if eps == math.inf and sg.c >= 0:  # c * eps / 3 would read inf/inf or 0 * inf
         return 0.0
     denom = float(sg.v) + float(sg.c) * eps / 3.0
@@ -108,11 +106,11 @@ def exact_tail(params: BetaParams, eps: float, side: TailSide) -> float:
         u = 1.0 - mu - eps
         if u <= 0.0:
             return 0.0
-        return regularized_incomplete_beta(b, a, min(u, 1.0))
+        return regularized_incomplete_beta(b, a, u)
     x = mu - eps
     if x <= 0.0:
         return 0.0
-    return regularized_incomplete_beta(a, b, min(x, 1.0))
+    return regularized_incomplete_beta(a, b, x)
 
 
 def log_upper_bound(x: float) -> float:

@@ -56,18 +56,13 @@ def centered_mgf(params: BetaParams, t: float) -> float:
 def cgf(params: BetaParams, t: float) -> float:
     """psi(t) = log phi(t); zero at t = 0, convex, and non-negative everywhere.
 
-    Negative t is positive t for 1 - X; the series budget grows with |t|. A NaN
+    One kernel call at any finite t, negative t as positive t for 1 - X. A NaN
     or infinite t raises ValueError; a 1F1 series that outruns its budget, or
     peaks at index 2^53 or past it (|t| from about 9e15), ConvergenceError.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if t == 0.0:
-        return 0.0
-    a, b = float(params.alpha), float(params.beta)
-    if t < 0.0:
-        a, b, t = b, a, -t
-    return _cgf_kernel(a, b, t)[0]
+    return _cgf_kernel(float(params.alpha), float(params.beta), t)[0]
 
 
 def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) -> ChernoffResult:
@@ -258,11 +253,12 @@ def cumulant_upper_bound(sg: SubGammaParams, t: float) -> float:
 
 
 def best_tilt(sg: SubGammaParams, eps: float) -> float:
-    """Maximizer eps / (c eps + v) of the relaxed Chernoff objective.
+    """Maximizer of the relaxed Chernoff objective eps t - cumulant_upper_bound(sg, t).
 
-    Always below 1/c when c > 0, so the cumulant bound stays finite there.
+    eps / (c eps + v) when c > 0, always below 1/c, so the cumulant bound
+    stays finite there; eps / v, the gaussian limit's, when c <= 0.
     """
     if not 0.0 <= eps < math.inf:  # rejects nan too
         raise ValueError(f"eps must be non-negative and finite, got {eps}")
     v, c = float(sg.v), float(sg.c)
-    return eps / (c * eps + v)
+    return eps / (c * eps + v) if c > 0.0 else eps / v

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .specfun import gauss_2f1_terminating, pochhammer
+from .specfun import gauss_2f1_terminating
 
 Scalar = Fraction | float
 
@@ -83,10 +83,18 @@ class MomentTable:
 
 
 def raw_moment(params: BetaParams, d: int) -> Scalar:
-    """E[X^d] = (alpha)_d / (alpha+beta)_d."""
+    """E[X^d] = (alpha)_d / (alpha+beta)_d as a product of factors (alpha+i) / (alpha+beta+i).
+
+    Each is below 1, so a float product never overflows as (alpha+beta)_d
+    would; it reads 0.0 only where E[X^d] is below the double range.
+    """
     if d < 0:
         raise ValueError(f"moment order must be non-negative, got {d}")
-    return pochhammer(params.alpha, d) / pochhammer(params.total, d)
+    a, s = params.alpha, params.total
+    moment: Scalar = Fraction(1) if params.is_exact else 1.0
+    for i in range(d):
+        moment *= (a + i) / (s + i)
+    return moment
 
 
 def recursion_coefficients(params: BetaParams, d: int) -> tuple[Scalar, Scalar, Scalar]:

@@ -215,10 +215,12 @@ def _cgf_budget(t: float) -> int:
 
 
 def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, float]:
-    """psi(t), psi'(t), psi''(t) and g(t) = t psi'(t) - 2 psi(t) for t > 0.
+    """psi(t), psi'(t), psi''(t) and g(t) = t psi'(t) - 2 psi(t) at any finite t.
 
     psi is the CGF of X - E[X] for X ~ Beta(a, b), so log 1F1(a; a+b; t) =
-    psi(t) + t a / (a+b). While t^2 <= 16 (s+1), s = a + b, where psi <= 2
+    psi(t) + t a / (a+b). A negative t is the tilt -t of 1 - X ~ Beta(b, a)
+    (the Kummer transform), with psi' negated; t = 0 and -0.0 take the
+    leading order, psi = 0.0. While t^2 <= 16 (s+1), s = a + b, where psi <= 2
     (Elder), the centered series serves: -t mu + log 1F1 would cancel
     there, and with phi = 1 + sigma and e = t phi' - 2 sigma, g = e / phi +
     2 (sigma / phi - log1p(sigma)) stays exact as t psi' and 2 psi merge.
@@ -251,6 +253,9 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
     psi' is within 3e-13 while the larger shape is under 1e3 times the
     smaller and 4e-11 beyond, psi'' within 5e-11 and 4e-10.
     """
+    if t < 0.0:
+        psi, dpsi, d2psi, g = _cgf_kernel(b, a, -t)
+        return psi, -dpsi, d2psi, g
     s = a + b
     if t < 2.0**-200:
         # t * t in the series would underflow: the leading order (g cancels at it), as
@@ -361,22 +366,16 @@ def log_kummer_1f1(a: float, c: float, t: float) -> float:
     """log(1F1(a; c; t)) for 0 < a <= c, stable far beyond double overflow.
 
     exp(-t a / c) 1F1(a; c; t) is the MGF of X - E[X] for X ~ Beta(a, c - a),
-    so this is psi(t) + t a / c with psi that CGF, read for t < 0 as the CGF
-    of 1 - X at -t (the Kummer transform). It shares cgf's term budget, so
-    the two agree wherever either returns, and raises ConvergenceError where
-    cgf does. Any other a or c, or a non-finite t, raises ValueError.
+    so this is psi(t) + t a / c with psi that CGF, which the kernel evaluates
+    at any finite t (0.0 at t = 0). It makes cgf's one kernel call, so the
+    two agree wherever either returns, and raises ConvergenceError where cgf
+    does. Any other a or c, or a non-finite t, raises ValueError.
     """
     if not (0.0 < a <= c < math.inf and math.isfinite(t)):
         raise ValueError(f"1F1 needs 0 < a <= c and finite a, c, t, got a={a}, c={c}, t={t}")
     if c == a:
         return t
-    if t == 0.0:
-        return 0.0
-    if t < 0.0:
-        psi = _cgf_kernel(c - a, a, -t)[0]
-    else:
-        psi = _cgf_kernel(a, c - a, t)[0]
-    return psi + t * a / c
+    return _cgf_kernel(a, c - a, t)[0] + t * a / c
 
 
 def gauss_2f1_terminating(a, d: int, c, z) -> Fraction:

@@ -66,6 +66,12 @@ class TestSubGammaParamsComputation:
             with pytest.raises(ValueError):
                 SubGammaParams(v=v, c=1)
 
+    def test_rejects_non_finite_pair(self):
+        # a nan or infinite v or c made every bound of the pair read nan or inf
+        for v, c in ((math.inf, 1), (0.01, math.nan), (0.01, math.inf), (0.01, -math.inf)):
+            with pytest.raises(ValueError):
+                SubGammaParams(v=v, c=c)
+
     # a float a b or s^2 (s+1) overflows to nan at the first shape and
     # underflows to a zero divisor at the second
     @pytest.mark.parametrize("a", [1e200, 1e-300])

@@ -507,6 +507,18 @@ class TestBestTilt:
         sg = SubGammaParams(v=0.01, c=0)
         assert best_tilt(sg, 0.05) == pytest.approx(0.05 / 0.01, rel=1e-14)
 
+    def test_negative_scale_maximizes_the_gaussian_objective(self):
+        # for c < 0 the cumulant bound is v t^2 / 2, maximized at eps / v on both
+        # sides of -v / c; eps / (c eps + v) overshot there, then turned negative
+        sg = sub_gamma_params(BetaParams(98, 2))
+        v, c = float(sg.v), float(sg.c)
+        assert 0.005 < -v / c < 0.015 < 1.0 - float(BetaParams(98, 2).mean())
+        for eps in (0.005, 0.015):
+            tb = best_tilt(sg, eps)
+            assert tb == eps / v
+            objective = eps * tb - cumulant_upper_bound(sg, tb)
+            assert objective == pytest.approx(eps * eps / (2.0 * v), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("a,b", [(2, 98), (2, 998), (2, 3)])
     def test_below_pole(self, a, b):
         sg = sub_gamma_params(BetaParams(a, b))

@@ -70,6 +70,16 @@ class TestRawMoment:
     def test_third(self):
         assert raw_moment(BetaParams(2, 3), 3) == Fraction(4, 35)
 
+    def test_float_shapes_past_the_pochhammer_overflow(self):
+        # (a+b)_d passes the largest double by d = 200 at each shape, where the
+        # moment itself is still in range; a ratio of two rising factorials read nan
+        for a, b in [(2.0, 98.0), (0.5, 0.5), (1e5, 3.0)]:
+            for d in (150, 200, 1000):
+                with mpmath.workdps(50):
+                    ref = float(mpmath.rf(a, d) / mpmath.rf(a + b, d))
+                got = raw_moment(BetaParams(a, b), d)
+                assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (a, b, d)
+
 
 class TestRecursion:
     def test_variance(self):

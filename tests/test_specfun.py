@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betatails import specfun
+from betatails import chernoff, specfun
 from betatails.chernoff import cgf
 from betatails.moments import BetaParams
 from betatails.specfun import (
@@ -282,6 +282,43 @@ def test_kernel_at_tiny_tilt_is_its_leading_order(a, b):
     _, dpsi, d2psi, _ = specfun._cgf_kernel(a, b, t)
     assert dpsi == pytest.approx(v * t, rel=1e-15, abs=0.0)
     assert d2psi == pytest.approx(v, rel=1e-15, abs=0.0)
+
+
+def test_kernel_takes_every_finite_tilt():
+    # a negative tilt of Beta(b, a) is the reflected positive tilt of Beta(a, b), bit
+    # for bit, at one point on each branch; t = 0 and -0.0 give psi = 0.0
+    branches = {
+        "tiny t": (2.0, 98.0, 1e-300),
+        "centered series": (2.0, 98.0, 3.0),
+        "forward pass": (2.0, 98.0, 60.0),
+        "walk": (2.0, 98.0, 150.0),
+        "sampled walk": (2.0, 98.0, 2000.0),
+    }
+    for name, (a, b, t) in branches.items():
+        psi, dpsi, d2psi, g = specfun._cgf_kernel(a, b, t)
+        reflected = specfun._cgf_kernel(b, a, -t)
+        assert [x.hex() for x in reflected] == [x.hex() for x in (psi, -dpsi, d2psi, g)], name
+    for t in (0.0, -0.0):
+        assert specfun._cgf_kernel(2.0, 98.0, t)[0].hex() == "0x0.0p+0"
+        assert cgf(BetaParams(2, 98), t).hex() == "0x0.0p+0"
+        assert log_kummer_1f1(2.0, 100.0, t).hex() == "0x0.0p+0"
+
+
+def test_cgf_and_log_kummer_make_one_kernel_call(monkeypatch):
+    # the kernel decides the domain: neither caller reflects t or returns early at 0
+    calls = []
+
+    def kernel(a, b, t):
+        calls.append((a, b, t))
+        return 0.25, 0.0, 0.0, 0.0
+
+    monkeypatch.setattr(specfun, "_cgf_kernel", kernel)
+    monkeypatch.setattr(chernoff, "_cgf_kernel", kernel)
+    for t in (-3.0, -0.0, 0.0, 3.0):
+        calls.clear()
+        assert cgf(BetaParams(2, 98), t) == 0.25
+        assert log_kummer_1f1(2.0, 100.0, t) == 0.25 + t * 2.0 / 100.0
+        assert [(a, b, x.hex()) for a, b, x in calls] == [(2.0, 98.0, t.hex())] * 2
 
 
 class TestCgfKernelForwardPass:
