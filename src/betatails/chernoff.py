@@ -198,16 +198,19 @@ def _predict_root(fits: list[tuple[float, float, float]], eps: float, cold: floa
 
 
 def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:
-    """Leading terms of the optimal exponent: eps^2/(2v) - c eps^3/(6 v^2).
+    """Leading terms of the optimal exponent: eps^2/(2v) (1 - c eps/(3v)).
 
-    psi*(eps) matches this to O(eps^4) as eps -> 0, which is what certifies
-    (v, c) as the best possible sub-gamma parameters.
+    psi*(eps) matches this to O(eps^4) as eps -> 0, which certifies (v, c) as
+    the best possible pair. A value past the largest double raises OverflowError.
     """
     if not 0.0 <= eps < math.inf:  # rejects nan too
         raise ValueError(f"eps must be non-negative and finite, got {eps}")
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
-    return eps * eps / (2.0 * v) - c * eps**3 / (6.0 * v * v)
+    value = eps * eps / (2.0 * v) * (1.0 - c * eps / (3.0 * v))
+    if not math.isfinite(value):
+        raise OverflowError(f"expansion at eps={eps} of {params} exceeds the largest double")
+    return value
 
 
 def derivative_ratio_check(params: BetaParams, t: float) -> bool:

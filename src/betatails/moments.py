@@ -187,11 +187,11 @@ def standardized_moment(params: BetaParams, d: int) -> float:
         if d % 2:
             value /= math.sqrt(central[2])
     else:
-        # z_k = mu_k / mu_2^(k/2) runs the same loop with k1 / sqrt(mu_2) and
-        # k2 / mu_2 = s + 1, where mu_2 = (a/s)(b/s)/(s+1)
+        # z_k = mu_k / mu_2^(k/2) runs the same loop with k2 / mu_2 = s + 1 and
+        # k1 / sqrt(mu_2), formed without mu_2 = (a/s)(b/s)/(s+1), which underflows
         a, b, s = float(params.alpha), float(params.beta), float(params.total)
-        mu_2 = (a / s) * (b / s) / (s + 1.0)
-        value = _recurrence(1.0, (b - a) / s / math.sqrt(mu_2), s + 1.0, s, d)[d]
+        k1 = (b - a) / math.sqrt(a) / math.sqrt(b) * math.sqrt(s + 1.0)
+        value = _recurrence(1.0, k1, s + 1.0, s, d)[d]
     if not math.isfinite(value):
         raise OverflowError(f"standardized moment d={d} of {params} exceeds the largest double")
     return value

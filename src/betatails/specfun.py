@@ -3,7 +3,7 @@
 Everything here is self-contained double precision or exact rational
 arithmetic: log-gamma, the regularized incomplete beta function
 (continued fraction), the logarithm of the confluent hypergeometric 1F1,
-the terminating Gauss 2F1 over exact rationals, and rising factorials.
+and the terminating Gauss 2F1 over exact rationals.
 One kernel sums the 1F1 series, as the CGF of a centered Beta variable and
 its derivatives; log_kummer_1f1 shifts it back by t a / c. Every caller
 shares its term budget, max(10,000, 4 t + 2000) terms at tilt t.
@@ -26,19 +26,6 @@ class ConvergenceError(RuntimeError):
 # _MAX_ITER steps; _MAX_ITER is also the floor of the 1F1 term budget
 _REL_TOL = 1e-12
 _MAX_ITER = 10_000
-
-
-def pochhammer(x, k: int):
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1.
-
-    Exact (a Fraction) whenever x is an int or Fraction; float otherwise.
-    """
-    if k < 0:
-        raise ValueError(f"pochhammer order must be non-negative, got {k}")
-    result = Fraction(1) if isinstance(x, (int, Fraction)) else 1.0
-    for i in range(k):
-        result *= x + i
-    return result
 
 
 def log_gamma(x: float) -> float:

@@ -1,6 +1,7 @@
 """Tests for the centered MGF/CGF and the numeric Chernoff machinery."""
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -426,6 +427,20 @@ class TestChernoffExponentExpansion:
         assert chernoff_exponent_expansion(BetaParams(2, 5), 0.01) == pytest.approx(
             float(expected), rel=1e-12
         )
+
+    @pytest.mark.parametrize("a,b", [(1e300, 1e300), (1e-300, 1.0)])
+    def test_variance_whose_square_underflows(self, a, b):
+        # v * v underflows to 0 at both shapes; the polynomial in exact rationals
+        # is 4.0e294 at the first and -4.4e590, past the double range, at the second
+        sg = sub_gamma_params(BetaParams(Fraction(a), Fraction(b)))
+        eps = Fraction(1e-3)
+        expected = eps**2 / (2 * sg.v) - sg.c * eps**3 / (6 * sg.v**2)
+        if abs(expected) < sys.float_info.max:
+            got = chernoff_exponent_expansion(BetaParams(a, b), 1e-3)
+            assert got == pytest.approx(float(expected), rel=1e-14)
+        else:
+            with pytest.raises(OverflowError):
+                chernoff_exponent_expansion(BetaParams(a, b), 1e-3)
 
     @pytest.mark.parametrize("a,b", [(2, 5), (2, 98), (3, 3)])
     def test_residual_is_empirically_fourth_order(self, a, b):

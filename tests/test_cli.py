@@ -200,6 +200,18 @@ class TestCompareCommand:
         for digest, path in printed:
             assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
+    def test_optimality_study_spreads_stay_below_four(self, capsys):
+        # the residual/eps^4 ladder of each shape is scaled to its sd, so the
+        # expansion's parameter c eps / v stays of order 1 at the ladder's top
+        script = Path(__file__).resolve().parents[1] / "scripts" / "exponent_optimality_study.py"
+        spec = importlib.util.spec_from_file_location("exponent_optimality_study", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.run() == 0
+        spreads = re.findall(r"spread max/min = ([0-9.]+)$", capsys.readouterr().out, re.M)
+        assert len(spreads) == len(module.PAIRS)
+        assert all(float(spread) < 4.0 for spread in spreads), spreads
+
     def test_byte_for_byte_determinism(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["compare", "--alpha", "2", "--beta", "98", "--grid", "0:0.05:25"]

@@ -272,6 +272,24 @@ class TestStandardizedMoments:
         got = standardized_moment(BetaParams(a, a), 4)
         assert got == pytest.approx(3.0 - 6.0 / (2.0 * a + 3.0), rel=1e-15)
 
+    @pytest.mark.parametrize("a,b", [(1e200, 1.0), (1.0, 1e200), (5e-324, 1.0)])
+    def test_float_shapes_whose_variance_underflows(self, a, b):
+        # mu_2 underflows to 0 here, though skewness and kurtosis are finite
+        with mpmath.workdps(40):
+            a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+            s = a_ + b_
+            skewness = 2 * (b_ - a_) * mpmath.sqrt(s + 1) / ((s + 2) * mpmath.sqrt(a_ * b_))
+            kurtosis = 3 + 6 * ((a_ - b_) ** 2 * (s + 1) - a_ * b_ * (s + 2)) / (
+                a_ * b_ * (s + 2) * (s + 3)
+            )
+        params = BetaParams(a, b)
+        assert standardized_moment(params, 3) == pytest.approx(float(skewness), rel=1e-14)
+        if math.isinf(float(kurtosis)):  # 2.0e323 at Beta(5e-324, 1)
+            with pytest.raises(OverflowError):
+                standardized_moment(params, 4)
+        else:
+            assert standardized_moment(params, 4) == pytest.approx(float(kurtosis), rel=1e-14)
+
     @pytest.mark.parametrize("shape", [(2, 98), (2.0, 98.0)])
     def test_past_the_largest_double_is_an_overflow_error(self, shape):
         # the exact value at d = 230 is 2.0e340

@@ -78,19 +78,25 @@ def test_only_specfun_sums_the_centered_series():
     assert users == {"specfun.py"}
 
 
-def _identifiers(tree: ast.AST) -> set[str]:
-    """Every name, attribute, definition and import alias a module's tree spells."""
+def _reads(tree: ast.AST) -> set[str]:
+    """Every name, attribute and import alias a module's tree reads; docstrings do not count."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.add(node.name)
         elif isinstance(node, ast.alias):
             found.update(filter(None, (node.name, node.asname)))
     return found
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name, attribute, definition and import alias a module's tree spells."""
+    defined = {
+        node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    return _reads(tree) | defined
 
 
 def test_only_chernoff_holds_the_solve():
@@ -153,6 +159,25 @@ def test_traced_benchmark_functions_stay_public_in_their_layer():
         fn = getattr(importlib.import_module(f"betatails.{layer}"), attr, None)
         assert inspect.isfunction(fn) and not attr.startswith("_"), name
         assert fn.__module__ == f"betatails.{layer}", name
+
+
+def test_every_public_function_has_a_caller():
+    # no dead public function: each module-level public function of a layer is
+    # exported, wrapped by the traced benchmark run, or read by some source module
+    src = Path(betatails.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
+    read = set().union(*map(_reads, trees.values()))
+    traced = set(_harness_function_names())
+    uncalled = [
+        f"{layer}.{node.name}"
+        for layer in ("specfun", "moments", "bounds", "chernoff", "cli", "_verify")
+        for node in trees[layer].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in betatails.__all__
+        and f"{layer}.{node.name}" not in traced
+        and node.name not in read
+    ]
+    assert uncalled == []
 
 
 def test_verify_has_one_configuration():

@@ -19,35 +19,8 @@ from betatails.specfun import (
     gauss_2f1_terminating,
     log_gamma,
     log_kummer_1f1,
-    pochhammer,
     regularized_incomplete_beta,
 )
-
-
-class TestPochhammer:
-    def test_zero_order_is_one(self):
-        assert pochhammer(5, 0) == 1
-
-    def test_rising_factorial_of_one_is_factorial(self):
-        assert pochhammer(1, 4) == 24
-
-    def test_half_integer(self):
-        assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
-
-    def test_exact_for_rational_input(self):
-        assert isinstance(pochhammer(Fraction(1, 3), 2), Fraction)
-        assert isinstance(pochhammer(0.5, 2), float)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer(2, -1)
-
-    @given(
-        st.fractions(min_value=-10, max_value=10, max_denominator=20),
-        st.integers(min_value=0, max_value=15),
-    )
-    def test_recurrence(self, x, k):
-        assert pochhammer(x, k + 1) == pochhammer(x, k) * (x + k)
 
 
 class TestLogGamma:
