@@ -141,21 +141,18 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
     beta > alpha and for alpha > beta at that root for 1 - X. Symmetric
     shapes attain it as t -> 0: the proxy is v.
 
-    Safeguarded Newton steps on g, with g' = t psi'' - psi' from the same
-    kernel evaluation, start at t = 4 sqrt(alpha+beta+1), the centered
+    _bracketed_newton seeks the root of g, with g' = t psi'' - psi' from the
+    same kernel evaluation, from t = 4 sqrt(alpha+beta+1), the centered
     series' edge, clear of t near alpha+beta, where the forward pass sums
-    tens of thousands of terms. Until the root is bracketed a step at most
-    doubles t while g > 0 and at least halves it while g < 0, where g falls
-    like a power of t and Newton steps shrink t slowly; then a step leaving
-    the bracket bisects. Near the root Newton's model promises f at most
-    g^2 / (|g'| t^3) more: the loop stops once that is below half an ulp of
-    f, or the bracket is 1e-9 relative wide, and returns the largest f
-    evaluated. A near-symmetric shape's root nears 0: below it g is about
-    kappa_4 t^4 / 12, so the stop fires by t^2 = 2^-52 24 v / |kappa_4|. Over
-    shapes from 1e-3 to 1e5 the root stays below 18 (alpha+beta+1). A NaN
-    residual, a step past t = 1e3 (alpha+beta+1), no root in 200 steps or a
-    value 1e-9 over Elder's proxy 1/(4 (alpha+beta+1)) (arXiv:1611.00065)
-    raises ConvergenceError.
+    tens of thousands of terms. Above the root g falls like a power of t and
+    Newton steps shrink t slowly, so there a step at least halves t until a
+    tilt below the root is known. The loop stops once Newton's model
+    promises f under half an ulp more, g^2 / (|g'| t^3). A near-symmetric
+    shape's root nears 0: below it g is about kappa_4 t^4 / 12, so the stop
+    fires by t^2 = 2^-52 24 v / |kappa_4|. Over shapes from 1e-3 to 1e5 the
+    root stays below 18 (alpha+beta+1). A NaN residual, a step past t = 1e3
+    (alpha+beta+1), no root in 200 steps or a value 1e-9 over Elder's proxy
+    1/(4 (alpha+beta+1)) (arXiv:1611.00065) raises ConvergenceError.
     """
     v = float(sub_gamma_params(params).v)
     if params.alpha == params.beta:
@@ -163,39 +160,19 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
     if params.alpha > params.beta:
         params = params.swapped()
     a, b = float(params.alpha), float(params.beta)
-    best = v
-    lo, hi = 0.0, math.inf  # g(lo) > 0 > g(hi): g > 0 below the root, g < 0 above it
-    t = 4.0 * math.sqrt(a + b + 1.0)
-    t_limit = 1e3 * (float(params.total) + 1.0)
-    for step in range(1, 201):
+
+    def evaluate(t):
         psi, dpsi, d2psi, g = _cgf_kernel(a, b, t)
-        if math.isnan(g):
-            raise ConvergenceError(
-                f"sub-gaussian proxy residual is nan at t={t} for {params} after {step} steps"
-            )
-        best = max(best, 2.0 * psi / (t * t))
-        if g > 0.0:
-            lo = t
-        else:
-            hi = t
         slope = t * d2psi - dpsi  # g', negative near the root
-        newton = t - g / slope if slope != 0.0 else math.nan
-        if g == 0.0 or hi - lo <= 1e-9 * lo or g * g <= 2.0**-52 * -slope * t * psi:
-            break
-        if hi == math.inf:
-            t = newton if t < newton < 2.0 * lo else 2.0 * lo
-        elif lo == 0.0:
-            t = newton if 0.0 < newton < 0.5 * hi else 0.5 * hi
-        else:
-            t = newton if lo < newton < hi else 0.5 * (lo + hi)
-        if t > t_limit:
-            raise ConvergenceError(
-                f"sub-gaussian proxy objective rising at t={lo} for {params} after {step} "
-                f"steps: the next passes the limit 1e3 (alpha+beta+1) = {t_limit}"
-            )
-    else:
+        return 2.0 * psi / (t * t), g, slope, g * g <= 2.0**-52 * -slope * t * psi
+
+    limit = 1e3 * (float(params.total) + 1.0)
+    best, _, step, bracket = _bracketed_newton(
+        evaluate, v, 4.0 * math.sqrt(a + b + 1.0), 0.5, 200, limit, "sub-gaussian proxy", params
+    )
+    if bracket is not None:
         raise ConvergenceError(
-            f"sub-gaussian proxy root not found for {params} in 200 steps: [{lo}, {hi}]"
+            f"sub-gaussian proxy root not found for {params} in 200 steps: {list(bracket)}"
         )
     elder = 1.0 / (4.0 * (float(params.total) + 1.0))
     if not best <= elder * (1.0 + 1e-9):
@@ -215,3 +192,43 @@ def subgaussian_bound(params: BetaParams, eps: float) -> float:
     if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
     return sub_gamma_bound(SubGammaParams(v=subgaussian_optimal_proxy(params), c=0), eps)
+
+
+def _bracketed_newton(evaluate, best, t, cut, steps, limit, name, params):
+    """Largest objective evaluated by safeguarded Newton steps toward the root of r from t.
+
+    evaluate(t) gives (objective, r, r', stop): r > 0 below the root, r <= 0 above
+    it, stop the caller's half-ulp test. The bracket r(lo) > 0 >= r(hi) starts at
+    (0, inf). While hi = inf a step must land in (lo, 2 lo) or t doubles; then one
+    leaving the bracket bisects it, and while lo = 0 one must land below cut * hi.
+    It stops on stop, r = 0 or a bracket 1e-13 relative wide, and returns (the
+    largest objective, at least best, its value at t = 0; the last t giving it, or
+    0.0; the steps; None, or the bracket (lo, hi) once the steps run out). A NaN
+    r, or a next t past limit, raises ConvergenceError.
+    """
+    lo, hi = 0.0, math.inf
+    best_t = 0.0
+    for step in range(1, steps + 1):
+        value, r, slope, stop = evaluate(t)
+        if math.isnan(r):
+            raise ConvergenceError(
+                f"{name} residual is nan at t={t} for {params} after {step} steps"
+            )
+        if value >= best:
+            best, best_t = value, t
+        if r > 0.0:
+            lo = t
+        else:
+            hi = t
+        if stop or r == 0.0 or hi - lo <= 1e-13 * lo:
+            return best, best_t, step, None
+        newton = t - r / slope if slope != 0.0 else math.nan
+        if hi == math.inf:
+            t = newton if lo < newton < 2.0 * lo else 2.0 * lo
+        else:
+            t = newton if lo < newton < (hi if lo > 0.0 else cut * hi) else 0.5 * (lo + hi)
+        if t > limit:
+            raise ConvergenceError(
+                f"{name} still rising at t={lo} for {params} after {step} steps: limit t = {limit}"
+            )
+    return best, best_t, steps, (lo, hi)

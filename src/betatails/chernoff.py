@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .bounds import SubGammaParams, TailSide, sub_gamma_params
+from .bounds import SubGammaParams, TailSide, _bracketed_newton, sub_gamma_params
 from .moments import BetaParams
 from .specfun import _cgf_kernel
 
@@ -28,9 +28,6 @@ from .specfun import _cgf_kernel
 # tolerance the verification suite runs at.
 CHECK_SLACK = 1e-10
 
-# a bracket this relative width leaves the exponent exact to rounding (its error
-# is quadratic in the width)
-_SOLVE_RTOL = 1e-13
 _SOLVE_STEPS = 200
 
 
@@ -90,24 +87,23 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
     width 1 - mu on, mu = alpha / (alpha + beta), exponent and t_star inf.
     A NaN or negative eps raises ValueError.
 
-    Each solve takes Newton steps in a bracket psi'(lo) < eps <= psi'(hi); a
-    step leaving it bisects, and until the root is bracketed a step at most
-    doubles t. The first solve starts from the cold guess eps / (v + c eps),
-    each later one at _predict_root's prediction from up to three before it,
-    either capped at the large-t root estimate b / (1 - mu - eps); with no
-    floor, a tiny eps starts near its tiny root. A solve stops once Newton's
-    model of f(t) = t eps - psi(t) promises at most half an ulp of f more,
-    (eps - psi')^2 / (2 psi'') <= 2^-53 f, or the bracket is 1e-13 relative
-    wide: the exponent's error is quadratic in eps - psi', so it is then
-    exact to rounding. On the paper grids a solve takes about 1.1 kernel
-    evaluations, and a warm-started exponent is within 1e-15 max(1, t*)
-    relative of the cold one, the kernel's psi tolerance.
+    Each solve runs bounds._bracketed_newton on the residual eps - psi'(t),
+    slope -psi''(t), taking any step from above inside the bracket. The first
+    solve starts from the cold guess eps / (v + c eps), each later one at
+    _predict_root's prediction from up to three before it, either capped at
+    the large-t root estimate b / (1 - mu - eps); with no floor, a tiny eps
+    starts near its tiny root. It stops once Newton's model of f(t) = t eps
+    - psi(t) promises at most half an ulp of f more, (eps - psi')^2 /
+    (2 psi'') <= 2^-53 f: the exponent's error is quadratic in eps - psi', so
+    it is then exact to rounding. On the paper grids a solve takes about 1.1
+    kernel evaluations, and a warm-started exponent is within 1e-15 max(1,
+    t*) relative of the cold one, the kernel's psi tolerance.
 
-    converged=False means only that the step budget ran out; a root whose
-    1F1 series peaks at index 2^53 or past it (eps within about b / 9e15 of
-    the width) raises ConvergenceError. exponent is the largest t eps -
-    psi(t) evaluated, at least 0, so it is a valid exponent wherever the
-    loop stops, and t_star the last t that gave it, so a root whose
+    converged=False means only that the step budget ran out; a NaN psi', or
+    a root whose 1F1 series peaks at index 2^53 or past it (eps within about
+    b / 9e15 of the width), raises ConvergenceError. exponent is the largest
+    t eps - psi(t) evaluated, at least 0, so it is a valid exponent wherever
+    the loop stops, and t_star the last t that gave it, so a root whose
     exponent underflows to 0 still reports its tilt.
     """
     a, b = float(params.alpha), float(params.beta)
@@ -130,32 +126,18 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
         # the first guess diverges as eps nears v/|c| when c < 0; past its root psi' nears
         # 1 - mu - b/t, so the root lies near b / (1 - mu - eps) at large t
         t = min(t, b / (width - eps))
-        lo, hi = 0.0, math.inf
-        best_f = best_t = 0.0
-        converged = False
-        for _ in range(_SOLVE_STEPS):
-            t_last = t
+        fits = [*fits[-2:], None]  # evaluate keeps this solve's last tilt in fits[-1]
+
+        def evaluate(t):
             psi, slope, curvature, _ = _cgf_kernel(a, b, t)
-            f = t * eps - psi
-            if f >= best_f:
-                best_f, best_t = f, t
-            if slope < eps:
-                lo = t
-            else:
-                hi = t
-            # Newton's model promises gap^2 / (2 psi'') more: stop once under half an ulp of f
-            gap = eps - slope
-            if gap * gap <= 2.0**-52 * curvature * f or hi - lo <= _SOLVE_RTOL * lo:
-                converged = True
-                break
-            # psi'' rounded to <= 0 falls back to a doubling or a bisection
-            t = t + gap / curvature if curvature > 0.0 else math.inf
-            if hi == math.inf:
-                t = min(t, 2.0 * lo)
-            elif not lo < t < hi:
-                t = 0.5 * (lo + hi)
-        fits = [*fits[-2:], (slope, t_last, 1.0 / curvature if curvature > 0.0 else math.inf)]
-        results.append(ChernoffResult(exponent=best_f, t_star=best_t, converged=converged))
+            fits[-1] = slope, t, 1.0 / curvature if curvature > 0.0 else math.inf
+            f, gap = t * eps - psi, eps - slope
+            return f, gap, -curvature, gap * gap <= 2.0**-52 * curvature * f
+
+        best_f, best_t, _, bracket = _bracketed_newton(
+            evaluate, 0.0, t, 1.0, _SOLVE_STEPS, math.inf, "Chernoff exponent", params
+        )
+        results.append(ChernoffResult(exponent=best_f, t_star=best_t, converged=bracket is None))
     return results
 
 

@@ -229,7 +229,8 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
     1 / (s + k0): sums of parts that do not cancel. The forward pass and each
     side of the walk, counting h terms a sample, raise ConvergenceError past
     _cgf_budget(t) = max(10,000, 4 t + 2000) terms; so does a peak index k0 at
-    or past 2^53, where k += 1 no longer moves a double and the budget would not bind.
+    or past 2^53, where k += 1 no longer moves a double and the budget would not bind,
+    and a walk whose psi is not finite, its sums past the double range.
 
     Tolerance against mpmath's 1F1 at 50 digits on 2,989 random points
     (shapes 1e-3 to 1e4, t from 1e-2 to 3e4): psi is within 6e-16 t. On the
@@ -264,10 +265,11 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
         root = 0.5 * (p + math.sqrt(disc))
     else:
         root = 2.0 * (a - 1.0) * t / (math.sqrt(disc) - p)
-    if not root < 2.0**53:
-        raise ConvergenceError(
-            f"1F1 series for the Beta({a}, {b}) CGF at t={t} peaks at k0={root:.6g} >= 2**53"
+    if not root < 2.0**53:  # nan too, where p * p or (a - 1) t passed the double range
+        peak = f"peaks at k0={root:.6g} >= 2**53" if math.isfinite(root) else (
+            "has a peak index k0 whose estimate passes the double range"
         )
+        raise ConvergenceError(f"1F1 series for the Beta({a}, {b}) CGF at t={t} {peak}")
     k0 = max(0, math.floor(root))
     budget = _cgf_budget(t)
     if k0 < _WINDOW_PEAK:  # then t < (10 s + 90) / (a + 9): terms stay below 1e15
@@ -344,6 +346,11 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
             )
     mean_shift, spread = first / total, second / total  # E[j u], E[(j u)^2]
     psi = math.log(h * total) + (log_peak - t + t * b / s)  # t a / s = t - t b / s
+    if not math.isfinite(psi):  # the sums passed the double range, as at alpha = 1e-310
+        raise ConvergenceError(
+            f"1F1 series for the Beta({a}, {b}) CGF at t={t} passes the double range "
+            f"about its peak k0={k0}"
+        )
     dpsi = b / s * (peak + s * mean_shift) * u0  # E[k u] = (k0 + s E[j u]) / (s + k0)
     d2psi = b * within / total + (b * u0) ** 2 * (spread - mean_shift * mean_shift)
     return psi, dpsi, d2psi, t * dpsi - 2.0 * psi

@@ -161,6 +161,13 @@ class TestCgf:
             cgf(BetaParams(2, 98), 1e17)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("t", [12.0, 100.0, 1e3])
+    def test_sums_past_the_double_range_raise(self, t):
+        # at alpha = 1e-310 the walk's sums leave the double range, where psi would
+        # read nan (t = 12) or -inf (t = 100 and 1e3)
+        with pytest.raises(ConvergenceError, match="passes the double range"):
+            cgf(BetaParams(1e-310, 1.0), t)
+
     @pytest.mark.parametrize("fn", [cgf, centered_mgf], ids=["cgf", "centered_mgf"])
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_tilt_is_a_value_error(self, fn, t):
@@ -311,6 +318,24 @@ class TestChernoffExponent:
         assert bisections >= 1
         assert res.converged
         assert res.exponent == pytest.approx(float(_mp_chernoff(0.01, 1e4, eps)), rel=1e-12)
+
+    def test_lost_root_reports_steps(self, monkeypatch):
+        # a NaN psi' past t = 1 would let the bracket close on the jump to NaN and
+        # report a converged exponent there; it raises where it first appears instead.
+        # The cold guess is t = 0.51, and the step from it doubles t
+        kernel = lambda a, b, t: (0.0, 0.0 if t < 1.0 else math.nan, 1e-5, 0.0)
+        monkeypatch.setattr(chernoff, "_cgf_kernel", kernel)
+        with pytest.raises(ConvergenceError, match=r"residual is nan at t=1\.02.* after 2 steps"):
+            chernoff_exponent_numeric(BetaParams(2, 98), 1e-4, TailSide.UPPER)
+
+    @pytest.mark.parametrize("fraction", [1e-3, 0.5, 0.999])
+    def test_tiny_alpha_raises_instead_of_converging(self, fraction):
+        # the kernel's sums at alpha = 1e-310 pass the double range from t = 11.3 on;
+        # a solve that bisected on the NaN there would report converged=True at
+        # t* = 11.11 for every deviation, where mpmath reads psi*(0.5) = 359.50 at t = 720
+        p = BetaParams(1e-310, 1.0)
+        with pytest.raises(ConvergenceError):
+            chernoff_exponent_numeric(p, fraction * (1.0 - float(p.mean())), TailSide.UPPER)
 
     @pytest.mark.parametrize("eps", [1e-170, 1e-200, 1e-300])
     def test_underflowing_exponent_keeps_its_tilt(self, eps):

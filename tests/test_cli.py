@@ -315,6 +315,15 @@ class TestCompareCommand:
         assert capsys.readouterr().err == "convergence failure: forced\n"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_peak_estimate_past_the_double_range_exits_5(self, tmp_path, capsys):
+        # p * p overflows in the peak estimate at t = 4e297: the solve still raises,
+        # and the message says so rather than print the estimate's nan
+        rc = main(["compare", "--alpha", "1e300", "--beta", "1e300",
+                   "--grid", "0:1e-3:3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "estimate passes the double range" in err and "nan" not in err
+
     def test_rational_literals_accepted(self, tmp_path):
         out = tmp_path / "rat.csv"
         assert main(["compare", "--alpha", "1/2", "--beta", "1/2",
