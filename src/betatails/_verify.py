@@ -31,6 +31,7 @@ _MOMENT_PAIRS = [
 ]
 _SOUNDNESS_PAIRS = _MOMENT_PAIRS + [(Fraction(98), Fraction(2))]
 _INEQUALITY_PAIRS = [(2, 98), (2, 998), (5, 5), (98, 2), (1, 1), (2, 3)]
+SD_LADDER_PAIRS = [(2, 5), (2, 98), (3, 3), (2, 998)]  # the optimality study's shapes
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -165,18 +166,17 @@ def check_vc_sign_consistency() -> str | None:
 
 
 def check_ibeta_symmetry() -> str | None:
-    """I_x(a,b) + I_{1-x}(b,a) = 1 within 2 * rel_tol."""
+    """I_x(a,b) = 1 - I_{1-x}(b,a) holds across x_c = (a+1)/(a+b+2), where the fraction
+    switches to (b, a, 1 - x): I jumps there by under 2 * rel_tol, by 1e-9 for one 1e-9 off."""
     rng = random.Random(_SEED + 1)
     for _ in range(200):
         a = rng.uniform(0.3, 60.0)
         b = rng.uniform(0.3, 60.0)
-        # dyadic x so x and 1-x are both exact doubles
-        x = rng.randint(0, 4096) / 4096.0
-        lhs = regularized_incomplete_beta(a, b, x) + regularized_incomplete_beta(
-            b, a, 1.0 - x
-        )
-        if abs(lhs - 1.0) > 2 * _REL_TOL:
-            return f"I_x(a,b)+I_(1-x)(b,a)-1 = {lhs - 1.0:.3e} at a={a}, b={b}, x={x}"
+        x_c = (a + 1.0) / (a + b + 2.0)
+        below = math.nextafter(x_c, 0.0)
+        jump = regularized_incomplete_beta(a, b, x_c) - regularized_incomplete_beta(a, b, below)
+        if abs(jump) > 2 * _REL_TOL:
+            return f"I jumps by {jump:.3e} across x_c = {x_c} at a={a}, b={b}"
     return None
 
 
@@ -432,19 +432,32 @@ def check_tilt_identity() -> str | None:
     return None
 
 
+def expansion_ladder(params: moments.BetaParams, top: float) -> list[tuple]:
+    """(eps, Chernoff result, closed form, |psi* - closed form| / eps^4), eps = top / 2^i, i < 4."""
+    rows = []
+    for eps in (top, top / 2, top / 4, top / 8):
+        res = chernoff.chernoff_exponent_numeric(params, eps, bounds.TailSide.UPPER)
+        closed = chernoff.chernoff_exponent_expansion(params, eps)
+        rows.append((eps, res, closed, abs(res.exponent - closed) / eps**4))
+    return rows
+
+
 def check_exponent_expansion() -> str | None:
-    """|psi* - (eps^2/2v - c eps^3/6v^2)| / eps^4 stays within 4x, and every solve converges."""
-    for a, b in [(2, 5), (2, 98), (3, 3)]:
-        params = moments.BetaParams(Fraction(a), Fraction(b))
-        ratios = []
-        for eps in (0.02, 0.01, 0.005, 0.0025):
-            res = chernoff.chernoff_exponent_numeric(params, eps, bounds.TailSide.UPPER)
-            if not res.converged:
-                return f"Beta({a},{b}) eps={eps}: Chernoff optimizer did not converge"
-            resid = abs(res.exponent - chernoff.chernoff_exponent_expansion(params, eps))
-            ratios.append(resid / eps**4)
-        if max(ratios) / min(ratios) >= 4.0:
-            return f"Beta({a},{b}): residual/eps^4 ratios {ratios} spread beyond 4x"
+    """|psi* - (eps^2/2v - c eps^3/6v^2)| / eps^4 stays within 4x, and every solve converges.
+
+    A ladder topped at one sd keeps c eps / v below about 1.4. A top of 0.02 serves
+    where it is below 2 sd: at Beta(2, 998) it is 14 sd, and c eps / v 20.
+    """
+    for a, b in SD_LADDER_PAIRS:
+        params = moments.BetaParams(a, b)
+        sd = math.sqrt(float(bounds.sub_gamma_params(params).v))
+        for top in (0.02, sd) if 0.02 < 2.0 * sd else (sd,):
+            rows = expansion_ladder(params, top)
+            if not all(res.converged for _, res, _, _ in rows):
+                return f"Beta({a},{b}): a Chernoff solve from eps={top} down did not converge"
+            ratios = [row[3] for row in rows]
+            if max(ratios) / min(ratios) >= 4.0:
+                return f"Beta({a},{b}): residual/eps^4 ratios {ratios} spread beyond 4x"
     return None
 
 

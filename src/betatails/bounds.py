@@ -94,23 +94,18 @@ def bernstein_params(params: BetaParams) -> SubGammaParams:
 def exact_tail(params: BetaParams, eps: float, side: TailSide) -> float:
     """Exact tail probability at deviation eps from the mean.
 
-    UPPER gives P{X > mu + eps} = I_{1-mu-eps}(beta, alpha), evaluated in the
-    complementary parametrization so no 1 - p cancellation occurs when the
-    tail is small. Deviations beyond the support return 0.
+    LOWER is I_{mu-eps}(alpha, beta); UPPER is the lower tail of 1 - X,
+    I_{1-mu-eps}(beta, alpha), so no 1 - p cancellation occurs when the tail
+    is small. Deviations beyond the support return 0.
     """
     if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
     a, b = float(params.alpha), float(params.beta)
     mu = a / (a + b)
-    if side is TailSide.UPPER:
-        u = 1.0 - mu - eps
-        if u <= 0.0:
-            return 0.0
-        return regularized_incomplete_beta(b, a, u)
     x = mu - eps
-    if x <= 0.0:
-        return 0.0
-    return regularized_incomplete_beta(a, b, x)
+    if side is TailSide.UPPER:
+        a, b, x = b, a, 1.0 - mu - eps
+    return regularized_incomplete_beta(a, b, x) if x > 0.0 else 0.0
 
 
 def log_upper_bound(x: float) -> float:

@@ -53,25 +53,18 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        numer = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numer * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numer / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        numer = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numer * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numer / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        step = d * c
-        h *= step
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for numer in (even, odd):
+            d = 1.0 + numer * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + numer / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            step = d * c
+            h *= step
         if abs(step - 1.0) < _REL_TOL:
             return h
     raise ConvergenceError(
@@ -83,11 +76,10 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF at x.
 
-    Continued-fraction evaluation with the crossover at x < (a+1)/(a+b+2);
-    the complementary range is reduced through I_x(a,b) = 1 - I_{1-x}(b,a)
-    so the fraction always runs in its fast regime. Raises ConvergenceError
-    rather than returning a silently inaccurate value, and ValueError for a
-    shape that is not positive and finite.
+    A continued fraction in its fast regime, on (b, a, 1 - x) through I_x(a,b) =
+    1 - I_{1-x}(b,a) from x = (a+1)/(a+b+2) on; clamped to [0, 1], where I lies, as
+    a shape below 1e-3 can read 2e-13 past an end. Raises ConvergenceError rather
+    than a silently inaccurate value, and ValueError for a shape not positive and finite.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # nan fails too
         raise ValueError(f"shape parameters must be positive and finite, got a={a}, b={b}")
@@ -97,12 +89,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    if x < (a + 1.0) / (a + b + 2.0):
-        return _ibeta_direct(a, b, x)
-    return 1.0 - _ibeta_direct(b, a, 1.0 - x)
-
-
-def _ibeta_direct(a: float, b: float, x: float) -> float:
+    flipped = x >= (a + 1.0) / (a + b + 2.0)
+    if flipped:
+        a, b, x = b, a, 1.0 - x
     log_prefactor = (
         a * math.log(x)
         + b * math.log1p(-x)
@@ -110,7 +99,9 @@ def _ibeta_direct(a: float, b: float, x: float) -> float:
         - log_gamma(a)
         - log_gamma(b)
     )
-    return math.exp(log_prefactor) * _beta_cont_frac(a, b, x) / a
+    value = math.exp(log_prefactor) * _beta_cont_frac(a, b, x) / a
+    p = 1.0 - value if flipped else value
+    return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
 def _centered_series(a: float, b: float, t: float) -> tuple[float, float, float]:

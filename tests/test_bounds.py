@@ -1,5 +1,6 @@
 """Tests for the closed-form tail bounds and the sub-gaussian competitor."""
 
+import hashlib
 import math
 import random
 import time
@@ -211,11 +212,29 @@ class TestExactTail:
         assert exact_tail(p, 0.99, TailSide.UPPER) == 0.0
         assert exact_tail(p, 0.03, TailSide.LOWER) == 0.0
 
+    def test_tiny_shape_upper_tail_is_a_probability(self):
+        # I_{0.999}(2, 1e-300) read -1.2e-14 unclamped; the tail is 5.9e-300
+        # (mpmath, 400 digits)
+        assert exact_tail(BetaParams(1e-300, 2.0), 1e-3, TailSide.UPPER) == 0.0
+
     def test_sides_complement_at_mean(self):
         p = BetaParams(2, 3)
         up = exact_tail(p, 0.0, TailSide.UPPER)
         lo = exact_tail(p, 0.0, TailSide.LOWER)
         assert up + lo == pytest.approx(1.0, rel=1e-12)
+
+    def test_paper_shapes_keep_their_bits(self):
+        # sha256 of the float.hex of both tails of Beta(2,98) and Beta(2,998) at
+        # 211 deviations from 0 to 1.05 times each side's width; a change that
+        # moves any value must say so in CHANGES.md and record the new digest here
+        lines = []
+        for a, b in ((2, 98), (2, 998)):
+            p = BetaParams(a, b)
+            mu = a / (a + b)
+            for side, width in ((TailSide.UPPER, 1.0 - mu), (TailSide.LOWER, mu)):
+                lines.extend(exact_tail(p, width * i / 200, side).hex() for i in range(211))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "9f4c718e0155348d855a86b94846bc2275331fa60ca8bed8ae14bc834f694bee"
 
 
 class TestLogRefinement:

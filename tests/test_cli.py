@@ -304,6 +304,21 @@ class TestCompareCommand:
                    "--grid", "0:0.05:5", "--out", str(tmp_path / "x.csv")])
         assert rc == 4
 
+    def test_probability_outside_the_unit_interval_exits_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bounds, "exact_tail", lambda *a, **k: -1e-14)
+        rc = main(["compare", "--alpha", "2", "--beta", "98",
+                   "--grid", "0:0.05:5", "--out", str(tmp_path / "x.csv")])
+        assert rc == 4
+        assert "probability outside [0,1] at eps=0.0" in capsys.readouterr().err
+
+    def test_tiny_alpha_exact_column_stays_a_probability(self, tmp_path):
+        # the exact tail at eps = 1e-3 read -1.2e-14 here, and compare exited 4
+        out = tmp_path / "tiny.csv"
+        assert main(["compare", "--alpha", "1e-300", "--beta", "2",
+                     "--grid", "0:1e-3:3", "--out", str(out)]) == 0
+        exact = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert all(0.0 <= p <= 1.0 for p in exact) and exact[-1] == 0.0
+
     def test_convergence_failure_exits_5(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise ConvergenceError("forced")

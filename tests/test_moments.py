@@ -70,6 +70,10 @@ class TestRawMoment:
     def test_third(self):
         assert raw_moment(BetaParams(2, 3), 3) == Fraction(4, 35)
 
+    def test_negative_order_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            raw_moment(BetaParams(2, 3), -1)
+
     def test_float_shapes_past_the_pochhammer_overflow(self):
         # (a+b)_d passes the largest double by d = 200 at each shape, where the
         # moment itself is still in range; a ratio of two rising factorials read nan
@@ -129,6 +133,10 @@ class TestBinomialOracle:
     def test_uniform_variance(self):
         assert central_moment_binomial_oracle(BetaParams(1, 1), 2) == Fraction(1, 12)
 
+    def test_negative_order_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            central_moment_binomial_oracle(BetaParams(2, 3), -1)
+
 
 class TestHypergeomOracle:
     def test_zeroth(self):
@@ -143,6 +151,10 @@ class TestHypergeomOracle:
     def test_requires_exact_params(self):
         with pytest.raises(ValueError):
             central_moment_hypergeom_oracle(BetaParams(2.0, 3.0), 2)
+
+    def test_negative_order_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            central_moment_hypergeom_oracle(BetaParams(2, 3), -1)
 
 
 class TestOracleEquivalence:

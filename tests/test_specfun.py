@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betatails import chernoff, specfun
+from betatails import _verify, chernoff, specfun
 from betatails.chernoff import cgf
 from betatails.moments import BetaParams
 from betatails.specfun import (
@@ -104,6 +104,26 @@ class TestRegularizedIncompleteBeta:
         )
         assert abs(total - 1.0) <= 2 * _REL_TOL
 
+    @pytest.mark.parametrize("a,b,x,expected", [
+        # read 1 + 1.2e-14 unclamped; I is 1 - 5.9e-300 (mpmath, 400 digits)
+        (1e-300, 2.0, 1e-3, 1.0),
+        # read -1.0e-14 unclamped; I is 2.6e-282 (mpmath, 400 digits)
+        (0.5, 1e-282, 0.75, 0.0),
+    ])
+    def test_tiny_shapes_stay_in_the_unit_interval(self, a, b, x, expected):
+        assert regularized_incomplete_beta(a, b, x) == expected
+
+    def test_symmetry_check_catches_a_perturbed_fraction(self, monkeypatch):
+        # IBETA-SYMMETRY compares the two orientations across the routing switch,
+        # so a continued fraction off by 1e-9 relative fails it
+        assert _verify.check_ibeta_symmetry() is None
+        fraction = specfun._beta_cont_frac
+        monkeypatch.setattr(
+            specfun, "_beta_cont_frac", lambda a, b, x: fraction(a, b, x) * (1.0 + 1e-9)
+        )
+        failure = _verify.check_ibeta_symmetry()
+        assert failure is not None and "e-09 across x_c" in failure, failure
+
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (2.0, 98.0), (7.0, 11.0 / 3.0)])
     def test_monotone_in_x(self, a, b):
         prev = -1.0
@@ -111,6 +131,26 @@ class TestRegularizedIncompleteBeta:
             cur = regularized_incomplete_beta(a, b, i / 100)
             assert cur >= prev - 1e-14
             prev = cur
+
+    def test_seeded_survey_keeps_its_bits(self):
+        # sha256 of the float.hex of every value (the error's type where a call
+        # raises) at a uniform x, an x about the mean and the crossover x, for
+        # 700 shapes log-uniform in [1e-3, 1e7]; a change that moves any value
+        # must say so in CHANGES.md and record the new digest here
+        rng = random.Random(27)
+        lines = []
+        for _ in range(700):
+            a, b = (10.0 ** rng.uniform(-3.0, 7.0) for _ in range(2))
+            s = a + b
+            sd = math.sqrt((a / s) * (b / s) / (s + 1.0))
+            near = min(max(a / s + sd * rng.gauss(0.0, 1.0), 0.0), 1.0)
+            for x in (rng.random(), near, (a + 1.0) / (a + b + 2.0)):
+                try:
+                    lines.append(regularized_incomplete_beta(a, b, x).hex())
+                except (ConvergenceError, ValueError, OverflowError) as exc:
+                    lines.append(type(exc).__name__)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "80ee68ed31589d5d12ad827996d9c73fda35ddd74a7b416a606aa10a1219875f"
 
 
 def kummer_1f1(a: float, c: float, t: float) -> float:
@@ -330,6 +370,12 @@ class TestCgfKernelForwardPass:
             digest.update(repr((a, b, t, specfun._cgf_kernel(a, b, t))).encode())
         assert digest.hexdigest() == self.RECORDED_DIGEST
 
+    def test_term_budget_is_loud(self, monkeypatch):
+        # the series of Beta(2, 98) at t = 60 peaks at k0 < 10 and needs more than 5 terms
+        monkeypatch.setattr(specfun, "_cgf_budget", lambda t: 5)
+        with pytest.raises(ConvergenceError, match="did not converge at t=60.0 in 5 terms"):
+            specfun._cgf_kernel(2.0, 98.0, 60.0)
+
 
 class TestGauss2F1Terminating:
     def test_zero_order(self):
@@ -346,6 +392,10 @@ class TestGauss2F1Terminating:
     def test_vanishing_denominator(self):
         with pytest.raises(ZeroDivisionError):
             gauss_2f1_terminating(1, 3, -1, Fraction(1, 2))
+
+    def test_negative_order_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gauss_2f1_terminating(1, -1, 1, Fraction(1, 2))
 
     @given(
         st.fractions(min_value=-5, max_value=5, max_denominator=6),
