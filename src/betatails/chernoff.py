@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .bounds import SubGammaParams, TailSide, _bracketed_newton, sub_gamma_params
+from .bounds import SubGammaParams, TailSide, _bracketed_newton, bernstein_params, sub_gamma_params
 from .moments import BetaParams
 from .specfun import _cgf_kernel
 
@@ -54,8 +54,8 @@ def cgf(params: BetaParams, t: float) -> float:
     """psi(t) = log phi(t); zero at t = 0, convex, and non-negative everywhere.
 
     One kernel call at any finite t, negative t as positive t for 1 - X. A NaN
-    or infinite t raises ValueError; a 1F1 series that outruns its budget, or
-    peaks at index 2^53 or past it (|t| from about 9e15), ConvergenceError.
+    or infinite t raises ValueError; a 1F1 series past the kernel's step cap,
+    or peaking at index 2^53 or past it (|t| from about 9e15), ConvergenceError.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -69,7 +69,8 @@ def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) ->
     optimization path exists. Valid for 0 < eps < support width on the chosen
     side; exp(-exponent) then upper-bounds the exact tail probability. The
     solve is chernoff_exponents' at a single deviation, from its cold first
-    guess, and has the same contract.
+    guess, and raises as it does; but eps = 0 and eps from the width on,
+    where the sweep returns 0 and inf, raise ValueError here.
     """
     if side is TailSide.LOWER:
         return chernoff_exponent_numeric(params.swapped(), eps, TailSide.UPPER)
@@ -99,12 +100,13 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
     kernel evaluations, and a warm-started exponent is within 1e-15 max(1,
     t*) relative of the cold one, the kernel's psi tolerance.
 
-    converged=False means only that the step budget ran out; a NaN psi', or
-    a root whose 1F1 series peaks at index 2^53 or past it (eps within about
-    b / 9e15 of the width), raises ConvergenceError. exponent is the largest
-    t eps - psi(t) evaluated, at least 0, so it is a valid exponent wherever
-    the loop stops, and t_star the last t that gave it, so a root whose
-    exponent underflows to 0 still reports its tilt.
+    converged=False means only that the Newton steps ran out; a NaN psi', a 1F1
+    series past the kernel's step cap, or a root whose series peaks at index
+    2^53 or past it (eps within about b / 9e15 of the width), raises
+    ConvergenceError. exponent is the largest t eps - psi(t) evaluated, at
+    least 0, so it is a valid exponent wherever the loop stops, and t_star the
+    last t that gave it, so a root whose exponent underflows to 0 still reports
+    its tilt.
     """
     a, b = float(params.alpha), float(params.beta)
     width = 1.0 - a / (a + b)
@@ -198,21 +200,18 @@ def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:
 def derivative_ratio_check(params: BetaParams, t: float) -> bool:
     """Check of the derivative-ratio inequality at a single finite t > 0.
 
-    beta >= alpha: phi'(t)/phi(t) <= v t / (1 - c t), valid for t < 1/c;
-    alpha > beta: phi'(t)/phi(t) <= v t. phi'/phi is psi'(t) from
+    phi'(t)/phi(t) <= v t / (1 - c t) for t < 1/c, (v, c) the Bernstein pair
+    (c = 0 when alpha > beta). phi'/phi is psi'(t) from
     `specfun._cgf_kernel`, within that kernel's documented tolerance, and True
     means it is at most the right-hand side plus CHECK_SLACK.
     """
     if not 0.0 < t < math.inf:  # rejects nan too
         raise ValueError(f"t must be positive and finite, got {t}")
-    sg = sub_gamma_params(params)
+    sg = bernstein_params(params)
     v, c = float(sg.v), float(sg.c)
-    if params.beta >= params.alpha:
-        if c > 0 and t >= 1.0 / c:
-            raise ValueError(f"t={t} is outside the valid range t < 1/c = {1.0 / c}")
-        rhs = v * t / (1.0 - c * t)
-    else:
-        rhs = v * t
+    if c > 0 and t >= 1.0 / c:
+        raise ValueError(f"t={t} is outside the valid range t < 1/c = {1.0 / c}")
+    rhs = v * t / (1.0 - c * t)
     return _cgf_kernel(float(params.alpha), float(params.beta), t)[1] <= rhs + CHECK_SLACK
 
 

@@ -53,11 +53,15 @@ def comparison_rows(params: moments.BetaParams, epss: list[float]) -> list[Compa
     The Chernoff column is exp(-psi*(eps)) from one chernoff.chernoff_exponents
     sweep of epss, so a NaN or negative deviation raises ValueError. An
     unconverged solve still yields a valid bound, since every evaluated t gives
-    one, and each such point is reported on stderr.
+    one, and each such point is reported on stderr. An exact shape past the
+    largest double raises ValueError.
     """
+    try:
+        shape = moments.BetaParams(float(params.alpha), float(params.beta))
+    except OverflowError:
+        raise ValueError("a shape passes the largest double; the columns need doubles") from None
     bern_sg = bounds.bernstein_params(params)
     subg_sg = bounds.SubGammaParams(v=bounds.subgaussian_optimal_proxy(params), c=0)
-    shape = moments.BetaParams(float(params.alpha), float(params.beta))
     rows = []
     for eps, result in zip(epss, chernoff.chernoff_exponents(params, epss)):
         exact = bounds.exact_tail(shape, eps, bounds.TailSide.UPPER)

@@ -5,8 +5,8 @@ arithmetic: log-gamma, the regularized incomplete beta function
 (continued fraction), the logarithm of the confluent hypergeometric 1F1,
 and the terminating Gauss 2F1 over exact rationals.
 One kernel sums the 1F1 series, as the CGF of a centered Beta variable and
-its derivatives; log_kummer_1f1 shifts it back by t a / c. Every caller
-shares its term budget, max(10,000, 4 t + 2000) terms at tilt t.
+its derivatives; log_kummer_1f1 shifts it back by t a / c. Its loops, like
+the continued fraction, raise at one fixed step cap whatever the tilt.
 
 All kernels are deterministic and hold no shared state.
 """
@@ -23,9 +23,10 @@ class ConvergenceError(RuntimeError):
 
 # the incomplete beta's continued fraction stops at a step within _REL_TOL of 1,
 # two orders tighter than any tolerance asserted downstream, and raises after
-# _MAX_ITER steps; _MAX_ITER is also the floor of the 1F1 term budget
+# _MAX_ITER steps; the 1F1 loops raise after _MAX_STEPS, a sample counting as one
 _REL_TOL = 1e-12
 _MAX_ITER = 10_000
+_MAX_STEPS = 2**20
 
 
 def log_gamma(x: float) -> float:
@@ -187,11 +188,6 @@ def _log_term_ratio(big_a, big_s, big_k, t, j, omega_base) -> float:
     )
 
 
-def _cgf_budget(t: float) -> int:
-    # a side of the walk spans about 9 sqrt(k0) terms, k0 < t; 4 t leaves it room at any t
-    return max(_MAX_ITER, int(4 * t) + 2000)
-
-
 def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, float]:
     """psi(t), psi'(t), psi''(t) and g(t) = t psi'(t) - 2 psi(t) at any finite t.
 
@@ -218,10 +214,10 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
     b) under the weights, with u = 1 / (s + k) the walk takes psi' = (b/s)
     E[k u] and psi'' = E[(a+k) b u^2 / (s+k+1)] + b^2 Var[u], Var[u] about
     1 / (s + k0): sums of parts that do not cancel. The forward pass and each
-    side of the walk, counting h terms a sample, raise ConvergenceError past
-    _cgf_budget(t) = max(10,000, 4 t + 2000) terms; so does a peak index k0 at
-    or past 2^53, where k += 1 no longer moves a double and the budget would not bind,
-    and a walk whose psi is not finite, its sums past the double range.
+    side of the walk raise ConvergenceError after _MAX_STEPS = 2^20 steps, a
+    sample counting as one; so does a peak index k0 at or past 2^53, where
+    k += 1 no longer moves a double, and a walk whose psi is not finite, its
+    sums past the double range.
 
     Tolerance against mpmath's 1F1 at 50 digits on 2,989 random points
     (shapes 1e-3 to 1e4, t from 1e-2 to 3e4): psi is within 6e-16 t. On the
@@ -262,12 +258,11 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
         )
         raise ConvergenceError(f"1F1 series for the Beta({a}, {b}) CGF at t={t} {peak}")
     k0 = max(0, math.floor(root))
-    budget = _cgf_budget(t)
     if k0 < _WINDOW_PEAK:  # then t < (10 s + 90) / (a + 9): terms stay below 1e15
         term, total, first, second = 1.0, 1.0, 0.0, 0.0
         ratio = a * t / s  # term_{k+1} / term_k at k = 0
         k = 0.0  # a float counter: the sums below take k as a float anyway
-        for _ in range(1, budget):
+        for _ in range(_MAX_STEPS):
             k += 1.0
             term *= ratio
             total += term
@@ -282,7 +277,7 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
                 return psi, t_dpsi / t, t2_d2psi / (t * t), t_dpsi - 2.0 * psi
         raise ConvergenceError(
             f"1F1 series for the Beta({a}, {b}) CGF did not converge at t={t} "
-            f"in {budget} terms"
+            f"in {_MAX_STEPS} steps"
         )
     omega = _stirling_remainder
     log_peak = _log_term_ratio(a, s, 1.0, t, k0, omega(s) + omega(1.0) - omega(a))  # term_0 = 1
@@ -303,7 +298,7 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
         # most max(ratio, s / (a t)), and those terms sum to at most k max(term_{k-1}, term_0)
         cap = ratio_cap if step == -1.0 else 0.0
         term, k, u, v = 1.0, peak, u0, v0
-        for _ in range(budget // h):  # a sample spans h terms of the budget
+        for _ in range(_MAX_STEPS):
             if h == 1 and step > 0.0:
                 ratio = (a + k) * t * u / (k + 1.0)
                 u, v = v, 1.0 / (s + k + 2.0)
@@ -333,7 +328,7 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
         else:
             raise ConvergenceError(
                 f"1F1 series for the Beta({a}, {b}) CGF did not converge at t={t} "
-                f"in {budget} terms on one side of its peak k0={k0}"
+                f"in {_MAX_STEPS} steps on one side of its peak k0={k0}"
             )
     mean_shift, spread = first / total, second / total  # E[j u], E[(j u)^2]
     psi = math.log(h * total) + (log_peak - t + t * b / s)  # t a / s = t - t b / s

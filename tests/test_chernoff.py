@@ -337,6 +337,19 @@ class TestChernoffExponent:
         with pytest.raises(ConvergenceError):
             chernoff_exponent_numeric(p, fraction * (1.0 - float(p.mean())), TailSide.UPPER)
 
+    @pytest.mark.parametrize("a,b,fraction", [
+        (1e-3, 1e100, 0.5),  # the solve reaches t = 1e100: a forward pass from k0 = 0
+        (0.5, 1e100, 0.5),
+        (1e-300, 98.0, 1.0 - 1e-9),  # a walk by single terms about k0 = 2.1e8
+    ])
+    def test_step_cap_raises_where_the_series_ran_on(self, a, b, fraction):
+        # each root needs one of the kernel's loops to run far past its 2^20 steps
+        p = BetaParams(a, b)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="steps"):
+            chernoff_exponent_numeric(p, fraction * (1.0 - a / (a + b)), TailSide.UPPER)
+        assert time.perf_counter() - start < 5.0
+
     @pytest.mark.parametrize("eps", [1e-170, 1e-200, 1e-300])
     def test_underflowing_exponent_keeps_its_tilt(self, eps):
         # eps^2 / (2v) underflows to 0 here, so every evaluated t ties at f = 0;

@@ -339,6 +339,31 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "estimate passes the double range" in err and "nan" not in err
 
+    def test_step_cap_ends_a_runaway_series_with_exit_5(self, tmp_path, capsys):
+        # the solves reach t = 1e100, whose forward pass needs far more than the
+        # kernel's 2^20 steps
+        start = time.perf_counter()
+        rc = main(["compare", "--alpha", "1e-3", "--beta", "1e100",
+                   "--grid", "0:0.5:3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 5
+        assert time.perf_counter() - start < 5.0
+        assert "in 1048576 steps" in capsys.readouterr().err
+
+    def test_exact_shape_past_the_double_range_exits_2(self, tmp_path, capsys):
+        # compare evaluates its columns in doubles, so the shape is an argument error
+        # there, reported without a traceback; moments still takes it exactly
+        huge = "1" + "0" * 400
+        rc = main(["compare", "--alpha", huge, "--beta", "2",
+                   "--grid", "0:0.1:3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("argument error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "x.csv").exists()
+        assert main(["moments", "--alpha", huge, "--beta", "2", "--dmax", "2"]) == 0
+        row2 = capsys.readouterr().out.strip().splitlines()[-1].split()
+        a = Fraction(huge)
+        assert row2[:2] == ["2", str(2 * a / ((a + 2) ** 2 * (a + 3)))]
+
     def test_rational_literals_accepted(self, tmp_path):
         out = tmp_path / "rat.csv"
         assert main(["compare", "--alpha", "1/2", "--beta", "1/2",

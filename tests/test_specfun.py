@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -92,17 +93,26 @@ class TestRegularizedIncompleteBeta:
     @given(
         st.floats(min_value=0.4, max_value=40.0),
         st.floats(min_value=0.4, max_value=40.0),
-        st.integers(min_value=0, max_value=1024),
     )
     @settings(max_examples=200)
-    def test_symmetry_identity(self, a, b, k):
-        # dyadic x keeps both x and 1-x exactly representable, so the check
-        # probes the kernels rather than argument rounding
-        x = k / 1024.0
-        total = regularized_incomplete_beta(a, b, x) + regularized_incomplete_beta(
-            b, a, 1.0 - x
+    def test_symmetry_identity(self, a, b):
+        # I_x(a,b) = 1 - I_{1-x}(b,a) across x_c = (a+1)/(a+b+2), where the fraction
+        # switches from (a, b, x) to (b, a, 1 - x); I_x(a,b) + I_{1-x}(b,a) at one x
+        # would route both terms through the same fraction and read 1 by construction
+        x_c = (a + 1.0) / (a + b + 2.0)
+        below = math.nextafter(x_c, 0.0)
+        jump = regularized_incomplete_beta(a, b, x_c) - regularized_incomplete_beta(a, b, below)
+        assert abs(jump) <= 2 * _REL_TOL
+
+    def test_symmetry_identity_catches_a_perturbed_fraction(self, monkeypatch):
+        # a fraction off by 1e-9 relative moves the two orientations apart by 1e-9
+        fraction = specfun._beta_cont_frac
+        monkeypatch.setattr(
+            specfun, "_beta_cont_frac", lambda a, b, x: fraction(a, b, x) * (1.0 + 1e-9)
         )
-        assert abs(total - 1.0) <= 2 * _REL_TOL
+        for a, b in [(0.4, 0.4), (0.4, 40.0), (40.0, 0.4), (40.0, 40.0), (2.0, 7.5)]:
+            with pytest.raises(AssertionError):
+                self.test_symmetry_identity.hypothesis.inner_test(self, a, b)
 
     @pytest.mark.parametrize("a,b,x,expected", [
         # read 1 + 1.2e-14 unclamped; I is 1 - 5.9e-300 (mpmath, 400 digits)
@@ -217,11 +227,36 @@ class TestKummer1F1:
                 assert kummer_1f1(a, c, t) == pytest.approx(ref, rel=1e-14, abs=0.0), (a, c, t)
 
     def test_iteration_cap_is_loud(self, monkeypatch):
-        # each side of the walk out from the peak spans about 220 terms here,
-        # in samples of 12
-        monkeypatch.setattr(specfun, "_cgf_budget", lambda t: 150)
-        with pytest.raises(ConvergenceError, match="150 terms"):
-            kummer_1f1(2.0, 100.0, 600.0)
+        # each side of the walk out from the peak spans about 220 terms here, in
+        # samples of 12; a sample is one step of the cap, and the longer side takes 19
+        expected = log_kummer_1f1(2.0, 100.0, 600.0)
+        monkeypatch.setattr(specfun, "_MAX_STEPS", 10)
+        with pytest.raises(ConvergenceError, match="in 10 steps on one side"):
+            log_kummer_1f1(2.0, 100.0, 600.0)
+        monkeypatch.setattr(specfun, "_MAX_STEPS", 19)
+        assert log_kummer_1f1(2.0, 100.0, 600.0) == expected
+
+    @pytest.mark.parametrize("a,b,t", [
+        # the forward pass (k0 = 0) at t = 1e100, whose bell spans about 9 sqrt(t) terms
+        (0.001, 1e100, 1e100),
+        # the walk by single terms about k0 = 2.1e8: log1p(j / A) overflows at a = 1e-300,
+        # so the peak's log reads -inf and the walk does not sample
+        (1e-300, 98.0, 209348440.91068566),
+    ])
+    def test_step_cap_ends_a_loop_that_would_not(self, a, b, t):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match=f"in {specfun._MAX_STEPS} steps"):
+            specfun._cgf_kernel(a, b, t)
+        assert time.perf_counter() - start < 5.0
+
+    def test_step_cap_leaves_a_wide_forward_pass_its_bits(self):
+        # k0 = 0 at t = alpha + beta = 1e10: the bell spans about 9 sqrt(1e10) terms,
+        # under the 2^20 cap; (1, 1e11, 1e11) needs more and raises
+        got = specfun._cgf_kernel(1.0, 1e10, 1e10)
+        assert [x.hex() for x in got] == [
+            "0x1.57a397078237fp+3", "0x1.0bb8b87a397dcp-17",
+            "0x1.3fa0eb3320911p-35", "0x1.3795c4350f3afp+16",
+        ]
 
     @pytest.mark.parametrize("t", [-20.0, -12.0, -4.0, -1.0, 1.0, 4.0, 12.0, 20.0])
     def test_beta_mgf_against_live_quadrature(self, t):
@@ -250,7 +285,7 @@ class TestLogKummer1F1:
 
     @pytest.mark.parametrize("t", [1e6, 1e8, 1e9])
     def test_shares_the_cgf_term_budget(self, t):
-        # cgf is log 1F1 less t a / c; both sum the series under one budget
+        # cgf is log 1F1 less t a / c; both sum the series under one step cap
         assert log_kummer_1f1(2.0, 100.0, t) == cgf(BetaParams(2, 98), t) + t * 2.0 / 100.0
 
     def test_peak_past_2_53_is_loud(self):
@@ -371,9 +406,9 @@ class TestCgfKernelForwardPass:
         assert digest.hexdigest() == self.RECORDED_DIGEST
 
     def test_term_budget_is_loud(self, monkeypatch):
-        # the series of Beta(2, 98) at t = 60 peaks at k0 < 10 and needs more than 5 terms
-        monkeypatch.setattr(specfun, "_cgf_budget", lambda t: 5)
-        with pytest.raises(ConvergenceError, match="did not converge at t=60.0 in 5 terms"):
+        # the series of Beta(2, 98) at t = 60 peaks at k0 < 10 and needs more than 5 steps
+        monkeypatch.setattr(specfun, "_MAX_STEPS", 5)
+        with pytest.raises(ConvergenceError, match="did not converge at t=60.0 in 5 steps"):
             specfun._cgf_kernel(2.0, 98.0, 60.0)
 
 
