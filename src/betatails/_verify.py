@@ -16,7 +16,7 @@ import math
 import random
 from fractions import Fraction
 
-from . import bounds, chernoff, moments
+from . import bounds, chernoff, moments, specfun
 from .cli import comparison_rows
 from .specfun import _REL_TOL, gauss_2f1_terminating, log_gamma, regularized_incomplete_beta
 
@@ -377,8 +377,11 @@ def _inequality_points():
 
 
 def check_derivative_ratio() -> str | None:
+    """phi'/phi = psi'(t) <= v t / (1 - c t) + 1e-10 below 1/c, (v, c) the Bernstein pair."""
     for a, b, params, _, t in _inequality_points():
-        if not chernoff.derivative_ratio_check(params, t):
+        sg = bounds.bernstein_params(params)
+        v, c = float(sg.v), float(sg.c)
+        if not specfun._cgf_kernel(float(a), float(b), t)[1] <= v * t / (1.0 - c * t) + 1e-10:
             return f"Beta({a},{b}) t={t}: phi'/phi exceeds its bound"
     return None
 

@@ -20,13 +20,9 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .bounds import SubGammaParams, TailSide, _bracketed_newton, bernstein_params, sub_gamma_params
+from .bounds import SubGammaParams, TailSide, _bracketed_newton, sub_gamma_params
 from .moments import BetaParams
 from .specfun import _cgf_kernel
-
-# Slack applied when checking the derivative-ratio inequality; matches the
-# tolerance the verification suite runs at.
-CHECK_SLACK = 1e-10
 
 _SOLVE_STEPS = 200
 
@@ -91,10 +87,11 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
     Each solve runs bounds._bracketed_newton on the residual eps - psi'(t),
     slope -psi''(t), taking any step from above inside the bracket. The first
     solve starts from the cold guess eps / (v + c eps), each later one at
-    _predict_root's prediction from up to three before it, either capped at
-    the large-t root estimate b / (1 - mu - eps); with no floor, a tiny eps
-    starts near its tiny root. It stops once Newton's model of f(t) = t eps
-    - psi(t) promises at most half an ulp of f more, (eps - psi')^2 /
+    _predict_root's prediction from the last tilts of up to three before it,
+    one fit per psi' (a new fit replaces an older one with its psi'), either
+    capped at the large-t root estimate b / (1 - mu - eps); with no floor, a
+    tiny eps starts near its tiny root. It stops once Newton's model of f(t) =
+    t eps - psi(t) promises at most half an ulp of f more, (eps - psi')^2 /
     (2 psi'') <= 2^-53 f: the exponent's error is quadratic in eps - psi', so
     it is then exact to rounding. On the paper grids a solve takes about 1.1
     kernel evaluations, and a warm-started exponent is within 1e-15 max(1,
@@ -113,7 +110,8 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
     results = []
-    fits = []  # (psi', t, 1 / psi'') at the last tilt of each of the last three solves
+    fits = []  # (psi', t, 1 / psi'') at the last tilt of up to three solves, distinct psi'
+    fit = None
     for eps in epss:
         if not eps >= 0.0:  # rejects nan too
             raise ValueError(f"eps must be non-negative, got {eps}")
@@ -128,48 +126,47 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
         # the first guess diverges as eps nears v/|c| when c < 0; past its root psi' nears
         # 1 - mu - b/t, so the root lies near b / (1 - mu - eps) at large t
         t = min(t, b / (width - eps))
-        fits = [*fits[-2:], None]  # evaluate keeps this solve's last tilt in fits[-1]
 
         def evaluate(t):
+            nonlocal fit  # this solve's last tilt
             psi, slope, curvature, _ = _cgf_kernel(a, b, t)
-            fits[-1] = slope, t, 1.0 / curvature if curvature > 0.0 else math.inf
+            fit = slope, t, 1.0 / curvature if curvature > 0.0 else math.inf
             f, gap = t * eps - psi, eps - slope
             return f, gap, -curvature, gap * gap <= 2.0**-52 * curvature * f
 
         best_f, best_t, _, bracket = _bracketed_newton(
             evaluate, 0.0, t, 1.0, _SOLVE_STEPS, math.inf, "Chernoff exponent", params
         )
+        fits = [*(old for old in fits[-2:] if old[0] != fit[0]), fit]
         results.append(ChernoffResult(exponent=best_f, t_star=best_t, converged=bracket is None))
     return results
 
 
 def _predict_root(fits: list[tuple[float, float, float]], eps: float, cold: float) -> float:
     """First tilt for the solve at eps from fits = [(psi', t, 1 / psi'')] at the
-    last tilts of the previous one to three solves, or cold.
+    last tilts of one to three earlier solves, oldest first, or cold.
 
-    Each fit is a point of the inverse map psi' -> t with its slope 1 / psi''.
-    The prediction is the polynomial through every point with its slope
-    (Hermite: a line for one, a cubic for two, a quintic for three), in Newton
-    form about the newest; a point whose psi' equals a newer one's is left out.
-    A prediction that is not positive or passes twice the newest t, the
-    solve's own doubling limit, is replaced by the cold first guess.
+    Each fit is a point of the inverse map psi' -> t with its slope 1 / psi'',
+    and no two share a psi' (chernoff_exponents keeps one fit per psi'). The
+    prediction is the polynomial through every point with its slope (Hermite:
+    a line for one, a cubic for two, a quintic for three), in Newton form
+    about the newest. A prediction that is not positive or passes twice the
+    newest t, the solve's own doubling limit, is replaced by the cold first
+    guess.
     """
     x1, t1, d1 = fits[-1]
     h = eps - x1
     pred = t1 + d1 * h
-    i = len(fits) - 2  # the next older node, past one whose psi' equals x1
-    if i >= 0 and fits[i][0] == x1:
-        i -= 1
-    if i >= 0:
-        x0, t0, d0 = fits[i]
+    if len(fits) > 1:
+        x0, t0, d0 = fits[-2]
         w = x1 - x0
         q = (t1 - t0) / w  # divided differences over the nodes x1, x1, x0, x0(, x2, x2)
         g = (q - d0) / w  # [x1, x0, x0]
         c2 = (d1 - q) / w
         c3 = (c2 - g) / w
         k = eps - x0
-        x2, t2, d2 = fits[0]
-        if i == 1 and x2 != x0 and x2 != x1:
+        if len(fits) > 2:
+            x2, t2, d2 = fits[0]
             u, s = x2 - x0, x2 - x1
             r = (t2 - t0) / u
             m = (r - d0) / u
@@ -195,24 +192,6 @@ def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:
     if not math.isfinite(value):
         raise OverflowError(f"expansion at eps={eps} of {params} exceeds the largest double")
     return value
-
-
-def derivative_ratio_check(params: BetaParams, t: float) -> bool:
-    """Check of the derivative-ratio inequality at a single finite t > 0.
-
-    phi'(t)/phi(t) <= v t / (1 - c t) for t < 1/c, (v, c) the Bernstein pair
-    (c = 0 when alpha > beta). phi'/phi is psi'(t) from
-    `specfun._cgf_kernel`, within that kernel's documented tolerance, and True
-    means it is at most the right-hand side plus CHECK_SLACK.
-    """
-    if not 0.0 < t < math.inf:  # rejects nan too
-        raise ValueError(f"t must be positive and finite, got {t}")
-    sg = bernstein_params(params)
-    v, c = float(sg.v), float(sg.c)
-    if c > 0 and t >= 1.0 / c:
-        raise ValueError(f"t={t} is outside the valid range t < 1/c = {1.0 / c}")
-    rhs = v * t / (1.0 - c * t)
-    return _cgf_kernel(float(params.alpha), float(params.beta), t)[1] <= rhs + CHECK_SLACK
 
 
 def cumulant_upper_bound(sg: SubGammaParams, t: float) -> float:

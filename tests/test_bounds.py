@@ -164,6 +164,32 @@ class TestBernsteinTailBound:
         got = bernstein_tail_bound(BetaParams(98, 2), 0.02, TailSide.UPPER)
         assert got == pytest.approx(math.exp(-101 / 98), rel=1e-13)
 
+    @pytest.mark.parametrize("a,b,eps,expected", [
+        (2, 10**162, 1e-162, 0.82902911818040036),  # v and c eps / 3 round to 0.0
+        (2, 10**161, 1e-161, 0.82902911818040034),  # v subnormal: floated, 1.2e-3 off
+        (10**162, 2, 1e-162, 0.77880078307140489),  # the gaussian shape, about exp(-1/4)
+        (10**400, 2, 0.1, 0.0),  # the exponent passes the double range
+    ], ids=["2-1e162", "2-1e161", "1e162-2", "1e400-2"])
+    def test_exact_shapes_whose_float_denominator_is_not_normal(self, a, b, eps, expected):
+        # the float denominator v + c eps / 3 is subnormal or 0 at these exact shapes;
+        # mpmath at 50 digits gives the same value from the moments' closed forms
+        with mpmath.workdps(50):
+            a_, b_, e_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(eps)
+            s_ = a_ + b_
+            v = a_ * b_ / (s_**2 * (s_ + 1))
+            c = 2 * (b_ - a_) / (s_ * (s_ + 2)) if b >= a else 0
+            reference = float(mpmath.exp(-e_**2 / (2 * (v + c * e_ / 3))))
+        assert reference == pytest.approx(expected, rel=1e-16, abs=0.0)
+        got = bernstein_tail_bound(BetaParams(a, b), eps, TailSide.UPPER)
+        assert got == pytest.approx(reference, rel=2e-16, abs=0.0)
+
+    def test_float_denominators_keep_the_float_path(self):
+        # a Fraction pair with a normal denominator, and any float pair, read
+        # exp(-eps^2 / (2.0 (v + c eps / 3))) in doubles, as they always have
+        for sg in (sub_gamma_params(BetaParams(2, 98)), SubGammaParams(v=1e-320, c=0.0)):
+            denom = float(sg.v) + float(sg.c) * 0.02 / 3.0
+            assert sub_gamma_bound(sg, 0.02) == math.exp(-0.02 * 0.02 / (2.0 * denom))
+
     @given(
         st.fractions(min_value=Fraction(1, 4), max_value=30, max_denominator=6),
         st.fractions(min_value=Fraction(1, 4), max_value=30, max_denominator=6),

@@ -9,21 +9,22 @@ import mpmath
 import pytest
 
 from betatails import chernoff
-from betatails.bounds import TailSide, bernstein_tail_bound, exact_tail, sub_gamma_params
+from betatails.bounds import (
+    TailSide, bernstein_params, bernstein_tail_bound, exact_tail, sub_gamma_params
+)
 from betatails.chernoff import (
     ChernoffResult,
     centered_mgf,
     cgf,
     chernoff_exponent_numeric,
     chernoff_exponents,
-    derivative_ratio_check,
     cumulant_upper_bound,
     best_tilt,
     chernoff_exponent_expansion,
     _predict_root,
 )
 from betatails.moments import BetaParams, central_moments_recursive
-from betatails.specfun import ConvergenceError
+from betatails.specfun import ConvergenceError, _cgf_kernel
 
 INEQUALITY_GRID = [(2, 98), (2, 998), (5, 5), (98, 2), (1, 1), (2, 3)]
 
@@ -69,6 +70,17 @@ def _mp_chernoff(alpha, beta, eps):
 def _logspace(lo, hi, n):
     r = math.log(hi / lo)
     return [lo * math.exp(r * i / (n - 1)) for i in range(n)]
+
+
+def _ratio_holds(params, t):
+    """The derivative-ratio inequality at one t in (0, 1/c), as MGF-DERIVATIVE-RATIO
+    states it: phi'/phi = psi'(t) from the CGF kernel is at most v t / (1 - c t)
+    plus 1e-10, (v, c) the Bernstein pair (c = 0 when alpha > beta)."""
+    sg = bernstein_params(params)
+    v, c = float(sg.v), float(sg.c)
+    assert 0.0 < t and c * t < 1.0, t
+    psi_prime = _cgf_kernel(float(params.alpha), float(params.beta), t)[1]
+    return psi_prime <= v * t / (1.0 - c * t) + 1e-10
 
 
 def _inequality_t_grid(a, b, n=50):
@@ -144,7 +156,7 @@ class TestCgf:
         psi = cgf(p, 1.0)
         assert math.isfinite(psi)
         assert psi == pytest.approx(v / 2.0, rel=1e-12)
-        assert derivative_ratio_check(p, 1.0)
+        assert _ratio_holds(p, 1.0)
 
     def test_centered_series_stops_on_its_tail_bound(self):
         # 2.8 t + 60 terms would be 2.8e9 here; the terms fall like (t^2 / s)^(d/2)
@@ -180,7 +192,7 @@ class TestCgf:
         p = BetaParams(2, 98)
         assert cgf(p, t) == 0.0
         assert centered_mgf(p, t) == 1.0
-        assert derivative_ratio_check(p, abs(t))
+        assert _ratio_holds(p, abs(t))
 
     @pytest.mark.parametrize("a,b", [(2, 98), (5, 5)])
     def test_convexity_on_grid(self, a, b):
@@ -395,6 +407,18 @@ class TestChernoffExponents:
             assert result.converged
             assert result.exponent == pytest.approx(float(_mp_chernoff(2, 98, eps)), rel=1e-12)
 
+    @pytest.mark.parametrize("a,b", SOLVE_ORACLE_SHAPES)
+    def test_repeated_deviation_at_a_kernel_slope_is_the_cold_solve(self, a, b):
+        # eps = psi'(t0) lets a solve end on psi' = eps exactly; the next solves then
+        # predict t0 itself and repeat its fit, which the sweep keeps once
+        p = BetaParams(a, b)
+        for t0 in (0.5, 5.0, 50.0, 1e3, 1e4):
+            eps = _cgf_kernel(float(a), float(b), t0)[1]
+            cold = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
+            for result in chernoff_exponents(p, [eps] * 6):
+                assert result.converged
+                assert abs(result.exponent - cold.exponent) <= 1e-15 * max(1.0, cold.t_star)
+
 
     def test_solve_after_a_tiny_deviation_is_the_cold_solve(self):
         # the tangent at t near 5e-95 predicts far past twice that tilt, so the
@@ -426,13 +450,22 @@ class TestPredictRoot:
             ((_, t, _),) = _inverse_map(coeffs, [eps])
             assert _predict_root(fits, eps, -1.0) == pytest.approx(t, rel=1e-14)
 
-    def test_nodes_with_equal_psi_prime_are_left_out(self):
-        cubic = self.QUINTIC[:4]
-        old, new = _inverse_map(cubic, (0.25, 0.4))
-        ((_, t, _),) = _inverse_map(cubic, [0.5])
-        for fits in ([old, new, new], [new, old, new], [old, old, new]):
-            assert _predict_root(fits, 0.5, -1.0) == pytest.approx(t, rel=1e-14)
-        assert _predict_root([new, new], 0.5, -1.0) == _predict_root([new], 0.5, -1.0)
+    def test_nodes_with_equal_psi_prime_are_left_out(self, monkeypatch):
+        # a repeated deviation ends solve after solve on one psi'; chernoff_exponents
+        # keeps one fit per psi', so _predict_root only ever sees distinct nodes
+        # (three equal ones divided by zero)
+        predict, nodes = chernoff._predict_root, []
+
+        def recorded(fits, eps, cold):
+            nodes.append([x for x, _, _ in fits])
+            return predict(fits, eps, cold)
+
+        monkeypatch.setattr(chernoff, "_predict_root", recorded)
+        for a, b, eps in [(1.974, 0.401, 0.001), (0.19, 0.231, 0.1), (60.42, 23.85, 0.002)]:
+            chernoff_exponents(BetaParams(a, b), [eps] * 6)
+        assert len(nodes) == 15
+        assert all(len(set(xs)) == len(xs) for xs in nodes)
+        assert any(len(xs) < min(i % 5 + 1, 3) for i, xs in enumerate(nodes))  # a fit replaced
 
     @pytest.mark.parametrize("fits,eps", [
         ([(0.25, 0.8, 2.0)], 10.0),  # past twice the newest t
@@ -492,30 +525,25 @@ class TestChernoffExponentExpansion:
 
 class TestDerivativeRatioCheck:
     def test_tiny_t_holds(self):
-        assert derivative_ratio_check(BetaParams(2, 98), 1e-6)
+        assert _ratio_holds(BetaParams(2, 98), 1e-6)
 
     def test_half_inverse_scale(self):
         c = float(sub_gamma_params(BetaParams(2, 98)).c)
-        assert derivative_ratio_check(BetaParams(2, 98), 0.5 / c)
+        assert _ratio_holds(BetaParams(2, 98), 0.5 / c)
 
     @pytest.mark.parametrize("t", [10.0, 250.0, 1e3, 1e4, 1e12])
     def test_left_skew_gaussian_branch(self, t):
         # far past t^2 <= 16 (s+1), where a moment-series sum alternates to
         # -9.4e9 (t = 250) and 1e270 (t = 1e3) and cannot be trusted
         start = time.perf_counter()
-        assert derivative_ratio_check(BetaParams(98, 2), t)
+        assert _ratio_holds(BetaParams(98, 2), t)
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("a,b", INEQUALITY_GRID)
     def test_holds_on_grid(self, a, b):
         p = BetaParams(a, b)
         for t in _inequality_t_grid(a, b, 20):
-            assert derivative_ratio_check(p, t)
-
-    def test_rejects_t_beyond_pole(self):
-        c = float(sub_gamma_params(BetaParams(2, 98)).c)
-        with pytest.raises(ValueError):
-            derivative_ratio_check(BetaParams(2, 98), 1.0 / c)
+            assert _ratio_holds(p, t)
 
 
 class TestCumulantUpperBound:
@@ -600,14 +628,11 @@ _SG_2_98 = sub_gamma_params(BetaParams(2, 98))
 @pytest.mark.parametrize(
     "fn",
     [
-        lambda t: derivative_ratio_check(BetaParams(2, 98), t),
         lambda t: cumulant_upper_bound(_SG_2_98, t),
         lambda t: best_tilt(_SG_2_98, t),
         lambda t: chernoff_exponent_expansion(BetaParams(2, 98), t),
     ],
-    ids=[
-        "derivative_ratio_check", "cumulant_upper_bound", "best_tilt", "chernoff_exponent_expansion"
-    ],
+    ids=["cumulant_upper_bound", "best_tilt", "chernoff_exponent_expansion"],
 )
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_helpers_reject_non_finite_arguments(fn, x):

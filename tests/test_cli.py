@@ -143,6 +143,13 @@ class TestBoundCommand:
                      "--side", "lower"]) == 0
         assert "bound = " in capsys.readouterr().out
 
+    def test_exact_shape_whose_variance_underflows(self, capsys):
+        # v is about 2e-800: its double is 0.0, so the exponent is formed exactly
+        huge = "1" + "0" * 400
+        assert main(["bound", "--alpha", huge, "--beta", "2", "--eps", "0.1",
+                     "--side", "upper"]) == 0
+        assert "bound = 0.0" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("argv", [
         ["bound", "--alpha", "2", "--beta", "98", "--eps", "0.02", "--side", "upper"],
         ["compare", "--alpha", "2", "--beta", "98", "--grid", "0:0.05:5", "--out", "x.csv"],
@@ -279,6 +286,19 @@ class TestCompareCommand:
                      "--grid", grid, "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert len(out.read_text().splitlines()) == int(grid.split(":")[2]) + 1
+
+    @pytest.mark.parametrize("alpha,beta,grid", [
+        ("0.103", "489.157", "0.0204:0.02040000000000204:40"),
+        ("1.12", "12.516", "0.1234:0.12340000000001232:40"),
+    ])
+    def test_grids_of_nearly_equal_deviations_exit_0(self, tmp_path, capsys, alpha, beta, grid):
+        # consecutive solves end on one psi' here; the warm start keeps one fit per
+        # psi', where three equal nodes once divided by zero (exit 2)
+        out = tmp_path / "flat.csv"
+        assert main(["compare", "--alpha", alpha, "--beta", beta,
+                     "--grid", grid, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 41
 
     def test_unwritable_path_exits_3(self, tmp_path, capsys):
         rc = main(["compare", "--alpha", "2", "--beta", "98",
