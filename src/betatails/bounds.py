@@ -59,15 +59,17 @@ def sub_gamma_bound(sg: SubGammaParams, eps: float) -> float:
 
     1 at eps = 0 and 0 at eps = inf, the limit, when c >= 0. A denominator
     that is not positive, as for c < 0 at eps >= -3 v / c, raises ValueError.
-    A Fraction pair whose float denominator is subnormal or 0, as at exact
-    shapes near the edge of the double range, forms it and the exponent exactly.
+    A Fraction pair whose float denominator is subnormal or 0 at a finite eps, as
+    at exact shapes near the edge of the double range, forms it and the exponent
+    exactly.
     """
     if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
     if eps == math.inf and sg.c >= 0:  # c * eps / 3 would read inf/inf or 0 * inf
         return 0.0
     denom = float(sg.v) + float(sg.c) * eps / 3.0
-    if denom < 2.0**-1022 and isinstance(sg.v, Fraction):  # below the least normal double
+    # below the least normal double; an infinite eps has no Fraction and keeps the float path
+    if denom < 2.0**-1022 and isinstance(sg.v, Fraction) and eps < math.inf:
         denom = sg.v + sg.c * Fraction(eps) / 3
         if denom > 0:  # exp(-x) is 0.0 from x = 1000 on, where float(x) may overflow
             return math.exp(-float(min(Fraction(eps) ** 2 / (2 * denom), 1000)))

@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

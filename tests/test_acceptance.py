@@ -4,8 +4,9 @@ tolerance and runtime budget.
 
 A criterion that the ``verify`` registry already states runs the matching
 ``_verify.CHECKS`` entries; the grids, seeds and tolerances live there
-only. Criteria 2 and 4 have no registry check, and criterion 8 runs one
-beside its quadrature oracles.
+only. Criterion 2 has no registry check. Criterion 4 is COMPARISON-ORDERING
+run through the CLI: it reads the CSVs that ``betatails compare`` writes.
+Criterion 8 runs LOG-GAMMA-RATIO beside its quadrature oracles.
 
 The quadrature oracles used here are arbitrary-precision adaptive integrals
 (mpmath tanh-sinh), fully independent of the library's own kernels.

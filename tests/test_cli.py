@@ -5,12 +5,13 @@ import importlib.util
 import math
 import re
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from betatails import _verify, bounds, chernoff
+from betatails import _verify, bounds, chernoff, moments
 from betatails.cli import (
     CSV_HEADER,
     ComparisonRow,
@@ -42,6 +43,17 @@ class TestParseScalar:
             parse_scalar("1/0")
         assert main(["bound", "--alpha", "1/0", "--beta", "2",
                      "--eps", "0.1", "--side", "upper"]) == 2
+        assert "argument error: invalid rational literal" in capsys.readouterr().err
+
+    def test_library_zero_division_is_not_an_argument_error(self, monkeypatch, capsys):
+        # a fault inside the library propagates; it is no mistake in the arguments
+        def fault(*args):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(bounds, "bernstein_tail_bound", fault)
+        with pytest.raises(ZeroDivisionError):
+            main(["bound", "--alpha", "2", "--beta", "98", "--eps", "0.1", "--side", "upper"])
+        assert "argument error" not in capsys.readouterr().err
 
 
 class TestGridSpec:
@@ -404,7 +416,73 @@ class TestRenderCsv:
         assert all(float(tok) == value for tok in rendered.split(","))
 
 
+def _second_moment_scaled(central_moments_recursive):
+    """central_moments_recursive with mu_2 off by 1e-9 relative."""
+
+    def perturbed(params, dmax):
+        table = central_moments_recursive(params, dmax)
+        central = list(table.central)
+        central[2] *= 1 + Fraction(1, 10**9)
+        return replace(table, central=tuple(central))
+
+    return perturbed
+
+
+# The checks that took over a fixed-grid unit test, each with a perturbation of
+# the library it must catch and a piece of the failure string it then returns:
+# (module, name, wrapper of the original, failure text).
+ABSORBING_PERTURBATIONS = {
+    "ORACLE-EQUIVALENCE": (
+        moments, "central_moment_hypergeom_oracle",
+        lambda f: lambda params, d: f(params, d) * (1 + Fraction(1, 10**9)), "hypergeometric=",
+    ),
+    "SCALED-RECURSION": (
+        moments, "central_moments_recursive", _second_moment_scaled, "scaled recursion violated",
+    ),
+    "P-RECURSIVE-FORM": (
+        moments, "recursion_coefficients",
+        lambda f: lambda params, d: (*f(params, d)[:2], f(params, d)[2] + d * d), "not linear in d",
+    ),
+    "VARIANCE-SCALE-IDENTITIES": (
+        moments, "central_moments_recursive", _second_moment_scaled, "mismatches closed form",
+    ),
+    "BOUND-MONOTONICITY": (
+        bounds, "bernstein_tail_bound",
+        lambda f: lambda params, eps, side: f(params, eps, side) + 1e-9 * eps, "bound increased",
+    ),
+    "MGF-SERIES-CONSISTENCY": (
+        chernoff, "centered_mgf", lambda f: lambda params, t: f(params, t) * (1 + 1e-6),
+        "|phi - series|",
+    ),
+    "CGF-CONVEXITY": (
+        chernoff, "cgf", lambda f: lambda params, t: f(params, t) - 1e-3 * t * t, "slope decreased",
+    ),
+    "TILT-IDENTITY": (  # the identity branch: the best tilt itself is untouched
+        chernoff, "cumulant_upper_bound", lambda f: lambda sg, t: f(sg, t) * (1 + 1e-9), " != ",
+    ),
+    "EXPONENT-EXPANSION": (  # a cubic error term: the residual / eps^4 grows like 1 / eps
+        chernoff, "chernoff_exponent_expansion",
+        lambda f: lambda params, eps: f(params, eps) * (1 + eps), "spread beyond 4x",
+    ),
+    "LOG-GAMMA-RATIO": (
+        _verify, "log_gamma", lambda f: lambda x: f(x) + 1e-9 * x, "Gamma(x+1)/Gamma(x)",
+    ),
+    "IBETA-MONOTONE": (
+        _verify, "regularized_incomplete_beta",
+        lambda f: lambda a, b, x: f(a, b, x) - 1e-9 * x, "decreased at x=",
+    ),
+}
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("name", list(ABSORBING_PERTURBATIONS))
+    def test_absorbing_check_catches_its_perturbation(self, name, monkeypatch):
+        # no unit test restates these checks' grids, so each must be able to fail
+        module, attr, perturb, failure_text = ABSORBING_PERTURBATIONS[name]
+        monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
+        failure = dict(_verify.CHECKS)[name]()
+        assert failure is not None and failure_text in failure, failure
+
     def test_full_level_passes_within_budget(self, capsys):
         start = time.perf_counter()
         assert main(["verify"]) == 0

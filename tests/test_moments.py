@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betatails import _verify
 from betatails.moments import (
     BetaParams,
     MAX_MOMENT_ORDER,
@@ -20,14 +21,7 @@ from betatails.moments import (
 )
 from betatails.specfun import _cgf_kernel
 
-GRID = [
-    (Fraction(1), Fraction(1)),
-    (Fraction(2), Fraction(3)),
-    (Fraction(1, 2), Fraction(1, 2)),
-    (Fraction(2), Fraction(98)),
-    (Fraction(7), Fraction(11, 3)),
-    (Fraction(98), Fraction(2)),
-]
+GRID = _verify.BASE_PAIRS
 
 rational_shape = st.fractions(
     min_value=Fraction(1, 8), max_value=40, max_denominator=8
@@ -158,14 +152,6 @@ class TestHypergeomOracle:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("a,b", GRID)
-    def test_three_routes_agree_exactly(self, a, b):
-        params = BetaParams(a, b)
-        table = central_moments_recursive(params, 20)
-        for d in range(21):
-            assert table.central[d] == central_moment_binomial_oracle(params, d)
-            assert table.central[d] == central_moment_hypergeom_oracle(params, d)
-
     @given(rational_shape, rational_shape, st.integers(min_value=0, max_value=12))
     @settings(max_examples=60)
     def test_random_rational_parameters(self, a, b, d):
@@ -195,30 +181,7 @@ class TestSignAndBoundedness:
             assert abs(mu) <= 1
 
 
-class TestScaledRecursion:
-    @pytest.mark.parametrize("a,b", GRID)
-    def test_normalized_moments_satisfy_scaled_form(self, a, b):
-        params = BetaParams(a, b)
-        s = params.total
-        central = central_moments_recursive(params, 20).central
-        m = [mu / math.factorial(d) for d, mu in enumerate(central)]
-        for d in range(2, 21):
-            lhs = d * (s + d - 1) * m[d]
-            rhs = (d - 1) * (b - a) / s * m[d - 1] + a * b / (s * s) * m[d - 2]
-            assert lhs == rhs
-
-
 class TestPRecursiveForm:
-    @pytest.mark.parametrize("a,b", GRID)
-    def test_coefficients_linear_in_order(self, a, b):
-        params = BetaParams(a, b)
-        for d in range(2, 15):
-            lo = recursion_coefficients(params, d)
-            mid = recursion_coefficients(params, d + 1)
-            hi = recursion_coefficients(params, d + 2)
-            for i in range(3):
-                assert mid[i] - lo[i] == hi[i] - mid[i]
-
     @pytest.mark.parametrize("a,b", GRID)
     def test_coefficients_reproduce_recursion(self, a, b):
         params = BetaParams(a, b)
@@ -226,16 +189,6 @@ class TestPRecursiveForm:
         for d in range(2, 13):
             p, q, r = recursion_coefficients(params, d)
             assert p * table.central[d] == q * table.central[d - 1] + r * table.central[d - 2]
-
-
-class TestVarianceAndScaleIdentities:
-    @pytest.mark.parametrize("a,b", GRID)
-    def test_closed_forms(self, a, b):
-        params = BetaParams(a, b)
-        s = a + b
-        table = central_moments_recursive(params, 3)
-        assert table.central[2] == a * b / (s * s * (s + 1))
-        assert table.central[3] / table.central[2] == 2 * (b - a) / (s * (s + 2))
 
 
 class TestStandardizedMoments:

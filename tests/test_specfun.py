@@ -39,11 +39,6 @@ class TestLogGamma:
         with pytest.raises(ValueError):
             log_gamma(x)
 
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.5, 10.0, 100.0])
-    def test_ratio_identity(self, x):
-        ratio = math.exp(log_gamma(x + 1.0)) / math.exp(log_gamma(x))
-        assert ratio == pytest.approx(x, rel=1e-12)
-
     def test_matches_stdlib_over_wide_range(self):
         # relative error budget 1e-13 on [1e-3, 1e6]
         for i in range(200):
@@ -133,14 +128,6 @@ class TestRegularizedIncompleteBeta:
         )
         failure = _verify.check_ibeta_symmetry()
         assert failure is not None and "e-09 across x_c" in failure, failure
-
-    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (2.0, 98.0), (7.0, 11.0 / 3.0)])
-    def test_monotone_in_x(self, a, b):
-        prev = -1.0
-        for i in range(101):
-            cur = regularized_incomplete_beta(a, b, i / 100)
-            assert cur >= prev - 1e-14
-            prev = cur
 
     def test_seeded_survey_keeps_its_bits(self):
         # sha256 of the float.hex of every value (the error's type where a call
