@@ -10,16 +10,22 @@ same or tighter; where one falls short it is widened to the union of the two
 grids and the tighter tolerance, never loosened. The tests keep what the
 registry cannot hold: hypothesis draws and mpmath oracles.
 
-Every check is a pure function of no arguments returning None on success or
-a short failure description; an exception it raises is reported as a
-failure of that check. All randomness is seeded, so two runs always perform
-identical work.
+Every check is a ``Check``: a predicate ``holds`` and the cases it holds on,
+each case the arguments of one call (a shape, an x, a shape and a stop). A
+call returns None on success or a short failure description, and a check
+called with no arguments runs every case and returns the first failure; an
+exception it raises is reported as a failure of that check.
+``tests/test_verify_cases.py`` runs each case as a test of its own, so a
+failure names its check and its shape. All randomness is seeded, so two runs
+always perform identical work.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds, chernoff, moments, specfun
@@ -59,115 +65,124 @@ def _random_shapes() -> list[tuple[Fraction, Fraction]]:
     return [(draw(), draw()) for _ in range(50)]
 
 
-def check_oracle_equivalence() -> str | None:
+_RANDOM_SHAPES = _random_shapes()
+
+
+@dataclass(frozen=True)
+class Check:
+    """An invariant: ``holds(*case)`` is None for every case, or a failure description."""
+
+    holds: Callable[..., str | None]
+    cases: Sequence[tuple] = ((),)
+
+    def __call__(self) -> str | None:
+        """The first case's failure, or None when every case holds."""
+        for case in self.cases:
+            failure = self.holds(*case)
+            if failure is not None:
+                return failure
+        return None
+
+
+def check_oracle_equivalence(a, b) -> str | None:
     """Recursive moments equal both independent oracles, rationally."""
-    for a, b in BASE_PAIRS:
-        params = moments.BetaParams(a, b)
-        table = moments.central_moments_recursive(params, 20)
-        for d in range(21):
-            mu = table.central[d]
-            bin_val = moments.central_moment_binomial_oracle(params, d)
-            hyp_val = moments.central_moment_hypergeom_oracle(params, d)
-            if not (mu == bin_val == hyp_val):
-                return (
-                    f"Beta({a},{b}) d={d}: recursion={mu}, binomial={bin_val}, "
-                    f"hypergeometric={hyp_val}"
-                )
+    params = moments.BetaParams(a, b)
+    table = moments.central_moments_recursive(params, 20)
+    for d in range(21):
+        mu = table.central[d]
+        bin_val = moments.central_moment_binomial_oracle(params, d)
+        hyp_val = moments.central_moment_hypergeom_oracle(params, d)
+        if not (mu == bin_val == hyp_val):
+            return (
+                f"Beta({a},{b}) d={d}: recursion={mu}, binomial={bin_val}, "
+                f"hypergeometric={hyp_val}"
+            )
     return None
 
 
-def check_sign_odd_moments() -> str | None:
+def check_sign_odd_moments(a, b) -> str | None:
     """Odd central moments share the sign of beta - alpha."""
-    for a, b in _random_shapes():
-        params = moments.BetaParams(a, b)
-        table = moments.central_moments_recursive(params, 19)
-        expected = (b > a) - (b < a)
-        for d in range(3, 20, 2):
-            mu = table.central[d]
-            got = (mu > 0) - (mu < 0)
-            if got != expected:
-                return f"Beta({a},{b}) d={d}: sign(mu_d)={got}, sign(beta-alpha)={expected}"
+    table = moments.central_moments_recursive(moments.BetaParams(a, b), 19)
+    expected = (b > a) - (b < a)
+    for d in range(3, 20, 2):
+        mu = table.central[d]
+        got = (mu > 0) - (mu < 0)
+        if got != expected:
+            return f"Beta({a},{b}) d={d}: sign(mu_d)={got}, sign(beta-alpha)={expected}"
     return None
 
 
-def check_even_moments_nonnegative() -> str | None:
-    for a, b in BASE_PAIRS + _random_shapes():
-        table = moments.central_moments_recursive(moments.BetaParams(a, b), 20)
-        for d in range(0, 21, 2):
-            if table.central[d] < 0:
-                return f"Beta({a},{b}): mu_{d} = {table.central[d]} < 0"
+def check_even_moments_nonnegative(a, b) -> str | None:
+    table = moments.central_moments_recursive(moments.BetaParams(a, b), 20)
+    for d in range(0, 21, 2):
+        if table.central[d] < 0:
+            return f"Beta({a},{b}): mu_{d} = {table.central[d]} < 0"
     return None
 
 
-def check_moment_boundedness() -> str | None:
+def check_moment_boundedness(a, b) -> str | None:
     """|mu_d| <= 1 since the centered variable lives in [-1, 1]."""
-    for a, b in BASE_PAIRS:
-        table = moments.central_moments_recursive(moments.BetaParams(a, b), 20)
-        for d, mu in enumerate(table.central):
-            if abs(mu) > 1:
-                return f"Beta({a},{b}): |mu_{d}| = {abs(mu)} > 1"
+    table = moments.central_moments_recursive(moments.BetaParams(a, b), 20)
+    for d, mu in enumerate(table.central):
+        if abs(mu) > 1:
+            return f"Beta({a},{b}): |mu_{d}| = {abs(mu)} > 1"
     return None
 
 
-def check_scaled_recursion() -> str | None:
+def check_scaled_recursion(a, b) -> str | None:
     """d (s+d-1) m_d = ((d-1)(b-a)/s) m_{d-1} + (a b / s^2) m_{d-2}, exactly.
 
     m_d = mu_d / d! are the normalized central moments, the MGF series'
     coefficients.
     """
-    for a, b in BASE_PAIRS + _random_shapes():
-        params = moments.BetaParams(a, b)
-        s = params.total
-        central = moments.central_moments_recursive(params, 20).central
-        m = [mu / math.factorial(d) for d, mu in enumerate(central)]
-        for d in range(2, 21):
-            lhs = d * (s + d - 1) * m[d]
-            rhs = (d - 1) * (b - a) / s * m[d - 1] + a * b / (s * s) * m[d - 2]
-            if lhs != rhs:
-                return f"Beta({a},{b}) d={d}: scaled recursion violated ({lhs} != {rhs})"
+    params = moments.BetaParams(a, b)
+    s = params.total
+    central = moments.central_moments_recursive(params, 20).central
+    m = [mu / math.factorial(d) for d, mu in enumerate(central)]
+    for d in range(2, 21):
+        lhs = d * (s + d - 1) * m[d]
+        rhs = (d - 1) * (b - a) / s * m[d - 1] + a * b / (s * s) * m[d - 2]
+        if lhs != rhs:
+            return f"Beta({a},{b}) d={d}: scaled recursion violated ({lhs} != {rhs})"
     return None
 
 
-def check_p_recursive_form() -> str | None:
+def check_p_recursive_form(a, b) -> str | None:
     """The recursion coefficients are degree <= 1 in d: second differences vanish."""
-    for a, b in BASE_PAIRS:
-        params = moments.BetaParams(a, b)
-        for d in range(2, 15):
-            trip = [moments.recursion_coefficients(params, dd) for dd in (d, d + 1, d + 2)]
-            for i in range(3):
-                first = trip[1][i] - trip[0][i]
-                second = trip[2][i] - trip[1][i]
-                if first != second:
-                    return f"Beta({a},{b}): coefficient {i} is not linear in d near d={d}"
+    params = moments.BetaParams(a, b)
+    for d in range(2, 15):
+        trip = [moments.recursion_coefficients(params, dd) for dd in (d, d + 1, d + 2)]
+        for i in range(3):
+            first = trip[1][i] - trip[0][i]
+            second = trip[2][i] - trip[1][i]
+            if first != second:
+                return f"Beta({a},{b}): coefficient {i} is not linear in d near d={d}"
     return None
 
 
-def check_variance_scale_identities() -> str | None:
+def check_variance_scale_identities(a, b) -> str | None:
     """mu_2 and mu_3/mu_2 match their closed forms exactly."""
-    for a, b in BASE_PAIRS:
-        params = moments.BetaParams(a, b)
-        s = a + b
-        table = moments.central_moments_recursive(params, 3)
-        if table.central[2] != a * b / (s * s * (s + 1)):
-            return f"Beta({a},{b}): mu_2 = {table.central[2]} mismatches closed form"
-        if table.central[3] / table.central[2] != 2 * (b - a) / (s * (s + 2)):
-            return f"Beta({a},{b}): mu_3/mu_2 mismatches closed form"
+    s = a + b
+    table = moments.central_moments_recursive(moments.BetaParams(a, b), 3)
+    if table.central[2] != a * b / (s * s * (s + 1)):
+        return f"Beta({a},{b}): mu_2 = {table.central[2]} mismatches closed form"
+    if table.central[3] / table.central[2] != 2 * (b - a) / (s * (s + 2)):
+        return f"Beta({a},{b}): mu_3/mu_2 mismatches closed form"
     return None
 
 
-def check_vc_sign_consistency() -> str | None:
+def check_vc_sign_consistency(a, b) -> str | None:
     """sub_gamma_params equals (mu_2, mu_3/mu_2) exactly, sign of c included."""
-    for a, b in BASE_PAIRS + [(Fraction(3), Fraction(1))]:
-        params = moments.BetaParams(a, b)
-        sg = bounds.sub_gamma_params(params)
-        table = moments.central_moments_recursive(params, 3)
-        if sg.v != table.central[2]:
-            return f"Beta({a},{b}): v={sg.v} but mu_2={table.central[2]}"
-        if sg.c != table.central[3] / table.central[2]:
-            return (
-                f"Beta({a},{b}): c={sg.c} but mu_3/mu_2="
-                f"{table.central[3] / table.central[2]} (check the sign of c)"
-            )
+    params = moments.BetaParams(a, b)
+    sg = bounds.sub_gamma_params(params)
+    table = moments.central_moments_recursive(params, 3)
+    if sg.v != table.central[2]:
+        return f"Beta({a},{b}): v={sg.v} but mu_2={table.central[2]}"
+    if sg.c != table.central[3] / table.central[2]:
+        return (
+            f"Beta({a},{b}): c={sg.c} but mu_3/mu_2="
+            f"{table.central[3] / table.central[2]} (check the sign of c)"
+        )
     return None
 
 
@@ -186,23 +201,21 @@ def check_ibeta_symmetry() -> str | None:
     return None
 
 
-def check_ibeta_monotone() -> str | None:
-    for a, b in [(0.5, 0.5), (2.0, 98.0), (7.0, 11.0 / 3.0), (98.0, 2.0)]:
-        prev = 0.0
-        for x in _linspace(0.0, 1.0, 200):
-            cur = regularized_incomplete_beta(a, b, x)
-            if cur < prev - 1e-14:
-                return f"I_x({a},{b}) decreased at x={x}"
-            prev = cur
+def check_ibeta_monotone(a, b) -> str | None:
+    prev = 0.0
+    for x in _linspace(0.0, 1.0, 200):
+        cur = regularized_incomplete_beta(a, b, x)
+        if cur < prev - 1e-14:
+            return f"I_x({a},{b}) decreased at x={x}"
+        prev = cur
     return None
 
 
-def check_log_gamma_ratio() -> str | None:
+def check_log_gamma_ratio(x) -> str | None:
     """exp(lg(x+1)) / exp(lg(x)) = x to 1e-12 relative."""
-    for x in (0.5, 1.0, 2.5, 10.0, 100.0):
-        ratio = math.exp(log_gamma(x + 1.0)) / math.exp(log_gamma(x))
-        if abs(ratio - x) > 1e-12 * x:
-            return f"Gamma(x+1)/Gamma(x) = {ratio} != {x}"
+    ratio = math.exp(log_gamma(x + 1.0)) / math.exp(log_gamma(x))
+    if abs(ratio - x) > 1e-12 * x:
+        return f"Gamma(x+1)/Gamma(x) = {ratio} != {x}"
     return None
 
 
@@ -231,48 +244,45 @@ def check_2f1_pochhammer_sum() -> str | None:
     return None
 
 
-def check_bernstein_soundness() -> str | None:
-    """Bound minus exact tail >= -1e-10 across both tails of every grid pair."""
-    for a, b in BASE_PAIRS:
-        params = moments.BetaParams(a, b)
-        mu = float(params.mean())
-        for side, width in (
-            (bounds.TailSide.UPPER, 1.0 - mu),
-            (bounds.TailSide.LOWER, mu),
-        ):
-            for eps in _linspace(0.0, width, 200):
-                bd = bounds.bernstein_tail_bound(params, eps, side)
-                exact = bounds.exact_tail(params, eps, side)
-                if bd - exact < -1e-10:
-                    return (
-                        f"Beta({a},{b}) {side.value} eps={eps}: bound {bd} below "
-                        f"exact tail {exact}"
-                    )
+def check_bernstein_soundness(a, b) -> str | None:
+    """Bound minus exact tail >= -1e-10 across both tails."""
+    params = moments.BetaParams(a, b)
+    mu = float(params.mean())
+    for side, width in (
+        (bounds.TailSide.UPPER, 1.0 - mu),
+        (bounds.TailSide.LOWER, mu),
+    ):
+        for eps in _linspace(0.0, width, 200):
+            bd = bounds.bernstein_tail_bound(params, eps, side)
+            exact = bounds.exact_tail(params, eps, side)
+            if bd - exact < -1e-10:
+                return (
+                    f"Beta({a},{b}) {side.value} eps={eps}: bound {bd} below "
+                    f"exact tail {exact}"
+                )
     return None
 
 
-def check_bernstein_reflection() -> str | None:
-    for a, b in [(Fraction(2), Fraction(98)), (Fraction(7), Fraction(11, 3))]:
-        params = moments.BetaParams(a, b)
-        swapped = moments.BetaParams(b, a)
-        for eps in _linspace(0.0, 0.3, 16):
-            lower = bounds.bernstein_tail_bound(params, eps, bounds.TailSide.LOWER)
-            upper = bounds.bernstein_tail_bound(swapped, eps, bounds.TailSide.UPPER)
-            if lower != upper:
-                return f"Beta({a},{b}) eps={eps}: lower {lower} != swapped upper {upper}"
+def check_bernstein_reflection(a, b) -> str | None:
+    params = moments.BetaParams(a, b)
+    swapped = moments.BetaParams(b, a)
+    for eps in _linspace(0.0, 0.3, 16):
+        lower = bounds.bernstein_tail_bound(params, eps, bounds.TailSide.LOWER)
+        upper = bounds.bernstein_tail_bound(swapped, eps, bounds.TailSide.UPPER)
+        if lower != upper:
+            return f"Beta({a},{b}) eps={eps}: lower {lower} != swapped upper {upper}"
     return None
 
 
-def check_bound_monotonicity() -> str | None:
-    for a, b in BASE_PAIRS + [(Fraction(5), Fraction(5))]:
-        params = moments.BetaParams(a, b)
-        for side in bounds.TailSide:
-            prev = math.inf
-            for eps in _linspace(0.0, 0.8, 160):
-                cur = bounds.bernstein_tail_bound(params, eps, side)
-                if cur > prev + 1e-15:
-                    return f"Beta({a},{b}) {side.value}: bound increased at eps={eps}"
-                prev = cur
+def check_bound_monotonicity(a, b) -> str | None:
+    params = moments.BetaParams(a, b)
+    for side in bounds.TailSide:
+        prev = math.inf
+        for eps in _linspace(0.0, 0.8, 160):
+            cur = bounds.bernstein_tail_bound(params, eps, side)
+            if cur > prev + 1e-15:
+                return f"Beta({a},{b}) {side.value}: bound increased at eps={eps}"
+            prev = cur
     return None
 
 
@@ -322,78 +332,73 @@ def check_subgaussian_proxy() -> str | None:
     return None
 
 
-def check_comparison_ordering() -> str | None:
+def check_comparison_ordering(a, b, stop) -> str | None:
     """exact < bernstein < subgaussian strictly at interior grid points.
 
     comparison_rows itself raises SoundnessError unless exact <= chernoff <=
     bernstein and exact <= subgaussian hold on every row.
     """
-    for a, b, stop in [(Fraction(2), Fraction(98), 0.05), (Fraction(2), Fraction(998), 0.005)]:
-        params = moments.BetaParams(a, b)
-        rows = comparison_rows(params, _linspace(0.0, stop, 100))
-        for row in rows[1:-1]:
-            if not row.exact < row.bernstein < row.subgaussian:
-                return (
-                    f"Beta({a},{b}) eps={row.epsilon}: ordering exact < bernstein "
-                    f"< subgaussian violated ({row.exact}, {row.bernstein}, "
-                    f"{row.subgaussian})"
-                )
-    return None
-
-
-def check_mgf_series_consistency() -> str | None:
-    """Closed-form phi agrees with the truncated moment series within the certified tail."""
-    for a, b in [(Fraction(2), Fraction(98)), (Fraction(2), Fraction(3)), (Fraction(98), Fraction(2))]:
-        params = moments.BetaParams(a, b)
-        table = moments.central_moments_recursive(params, 40)
-        for t in _linspace(-20.0, 20.0, 17):
-            series = 1.0 + math.fsum(
-                float(table.central[d] / math.factorial(d)) * t**d for d in range(2, 41)
+    rows = comparison_rows(moments.BetaParams(a, b), _linspace(0.0, stop, 100))
+    for row in rows[1:-1]:
+        if not row.exact < row.bernstein < row.subgaussian:
+            return (
+                f"Beta({a},{b}) eps={row.epsilon}: ordering exact < bernstein "
+                f"< subgaussian violated ({row.exact}, {row.bernstein}, "
+                f"{row.subgaussian})"
             )
-            tail = math.fsum(abs(t) ** d / math.factorial(d) for d in range(41, 160))
-            phi = chernoff.centered_mgf(params, t)
-            if abs(phi - series) > tail + 1e-9 * abs(phi):
-                return f"Beta({a},{b}) t={t}: |phi - series| = {abs(phi - series)} > {tail}"
     return None
 
 
-def check_cgf_convexity() -> str | None:
+def check_mgf_series_consistency(a, b) -> str | None:
+    """Closed-form phi agrees with the truncated moment series within the certified tail."""
+    params = moments.BetaParams(a, b)
+    table = moments.central_moments_recursive(params, 40)
+    for t in _linspace(-20.0, 20.0, 17):
+        series = 1.0 + math.fsum(
+            float(table.central[d] / math.factorial(d)) * t**d for d in range(2, 41)
+        )
+        tail = math.fsum(abs(t) ** d / math.factorial(d) for d in range(41, 160))
+        phi = chernoff.centered_mgf(params, t)
+        if abs(phi - series) > tail + 1e-9 * abs(phi):
+            return f"Beta({a},{b}) t={t}: |phi - series| = {abs(phi - series)} > {tail}"
+    return None
+
+
+def check_cgf_convexity(a, b) -> str | None:
     """Divided differences of psi are non-decreasing on a sampled grid."""
-    for a, b in [(Fraction(2), Fraction(98)), (Fraction(5), Fraction(5))]:
-        params = moments.BetaParams(a, b)
-        ts = _linspace(-15.0, 15.0, 40)
-        vals = [chernoff.cgf(params, t) for t in ts]
-        prev_slope = -math.inf
-        for i in range(1, len(ts)):
-            slope = (vals[i] - vals[i - 1]) / (ts[i] - ts[i - 1])
-            if slope < prev_slope - 1e-9:
-                return f"Beta({a},{b}): psi slope decreased near t={ts[i]}"
-            prev_slope = slope
+    params = moments.BetaParams(a, b)
+    ts = _linspace(-15.0, 15.0, 40)
+    vals = [chernoff.cgf(params, t) for t in ts]
+    prev_slope = -math.inf
+    for i in range(1, len(ts)):
+        slope = (vals[i] - vals[i - 1]) / (ts[i] - ts[i - 1])
+        if slope < prev_slope - 1e-9:
+            return f"Beta({a},{b}): psi slope decreased near t={ts[i]}"
+        prev_slope = slope
     return None
 
 
-def _inequality_points():
-    """(a, b, params, sg, t) at 50 log-spaced tilts from 1e-3 to 0.95/c, or to 1e4 if c <= 0."""
-    for a, b in _INEQUALITY_PAIRS:
-        params = moments.BetaParams(Fraction(a), Fraction(b))
-        sg = bounds.sub_gamma_params(params)
-        c = float(sg.c)
-        for t in _logspace(1e-3, 0.95 / c if c > 0 else 1e4, 50):
-            yield a, b, params, sg, t
+def _inequality_tilts(sg: bounds.SubGammaParams) -> list[float]:
+    """50 log-spaced tilts from 1e-3 to 0.95/c, or to 1e4 if c <= 0."""
+    c = float(sg.c)
+    return _logspace(1e-3, 0.95 / c if c > 0 else 1e4, 50)
 
 
-def check_derivative_ratio() -> str | None:
+def check_derivative_ratio(a, b) -> str | None:
     """phi'/phi = psi'(t) <= v t / (1 - c t) + 1e-10 below 1/c, (v, c) the Bernstein pair."""
-    for a, b, params, _, t in _inequality_points():
-        sg = bounds.bernstein_params(params)
-        v, c = float(sg.v), float(sg.c)
+    params = moments.BetaParams(Fraction(a), Fraction(b))
+    sg = bounds.bernstein_params(params)
+    v, c = float(sg.v), float(sg.c)
+    for t in _inequality_tilts(bounds.sub_gamma_params(params)):
         if not specfun._cgf_kernel(float(a), float(b), t)[1] <= v * t / (1.0 - c * t) + 1e-10:
             return f"Beta({a},{b}) t={t}: phi'/phi exceeds its bound"
     return None
 
 
-def check_cumulant_upper_bound() -> str | None:
-    for a, b, params, sg, t in _inequality_points():
+def check_cumulant_upper_bound(a, b) -> str | None:
+    params = moments.BetaParams(Fraction(a), Fraction(b))
+    sg = bounds.sub_gamma_params(params)
+    for t in _inequality_tilts(sg):
         psi = chernoff.cgf(params, t)
         cap = chernoff.cumulant_upper_bound(sg, t)
         if psi > cap + 1e-10:
@@ -401,45 +406,43 @@ def check_cumulant_upper_bound() -> str | None:
     return None
 
 
-def check_exponent_dominates_bound() -> str | None:
+def check_exponent_dominates_bound(a, b) -> str | None:
     """psi*(eps) dominates the closed-form exponent for beta >= alpha."""
-    for a, b in [(2, 98), (2, 998), (5, 5), (1, 1), (2, 3)]:
-        params = moments.BetaParams(Fraction(a), Fraction(b))
-        sg = bounds.sub_gamma_params(params)
-        v, c = float(sg.v), float(sg.c)
-        mu = float(params.mean())
-        for eps in _logspace(1e-3 * (1 - mu), 0.5 * (1 - mu), 12):
-            res = chernoff.chernoff_exponent_numeric(params, eps, bounds.TailSide.UPPER)
-            target = eps * eps / (2.0 * (v + c * eps / 3.0))
-            if res.exponent < target - 1e-10:
-                return (
-                    f"Beta({a},{b}) eps={eps}: psi*={res.exponent} below "
-                    f"closed-form exponent {target}"
-                )
+    params = moments.BetaParams(Fraction(a), Fraction(b))
+    sg = bounds.sub_gamma_params(params)
+    v, c = float(sg.v), float(sg.c)
+    mu = float(params.mean())
+    for eps in _logspace(1e-3 * (1 - mu), 0.5 * (1 - mu), 12):
+        res = chernoff.chernoff_exponent_numeric(params, eps, bounds.TailSide.UPPER)
+        target = eps * eps / (2.0 * (v + c * eps / 3.0))
+        if res.exponent < target - 1e-10:
+            return (
+                f"Beta({a},{b}) eps={eps}: psi*={res.exponent} below "
+                f"closed-form exponent {target}"
+            )
     return None
 
 
-def check_tilt_identity() -> str | None:
+def check_tilt_identity(a, b) -> str | None:
     """eps*best_tilt - cumulant_upper_bound(best_tilt) equals (v/c^2)(x - log(1+x)) at x = c eps / v.
 
     The tilt also stays inside the cap's domain, best_tilt < 1/c. The eps grid,
     13 log-spaced points from 1e-4 (1 - mu) to 0.5, reaches past half of every
     width 1 - mu here (0.6 or more).
     """
-    for a, b in [(2, 98), (2, 998), (2, 3), (1, 2)]:
-        params = moments.BetaParams(Fraction(a), Fraction(b))
-        sg = bounds.sub_gamma_params(params)
-        v, c = float(sg.v), float(sg.c)
-        mu = float(params.mean())
-        for eps in _logspace(1e-4 * (1 - mu), 0.5, 13):
-            tb = chernoff.best_tilt(sg, eps)
-            if not tb < 1.0 / c:
-                return f"Beta({a},{b}) eps={eps}: best tilt {tb} not below 1/c = {1.0 / c}"
-            lhs = eps * tb - chernoff.cumulant_upper_bound(sg, tb)
-            x = c * eps / v
-            rhs = v / (c * c) * (x - math.log1p(x))
-            if abs(lhs - rhs) > max(1e-12 * abs(rhs), 1e-15):
-                return f"Beta({a},{b}) eps={eps}: {lhs} != {rhs}"
+    params = moments.BetaParams(Fraction(a), Fraction(b))
+    sg = bounds.sub_gamma_params(params)
+    v, c = float(sg.v), float(sg.c)
+    mu = float(params.mean())
+    for eps in _logspace(1e-4 * (1 - mu), 0.5, 13):
+        tb = chernoff.best_tilt(sg, eps)
+        if not tb < 1.0 / c:
+            return f"Beta({a},{b}) eps={eps}: best tilt {tb} not below 1/c = {1.0 / c}"
+        lhs = eps * tb - chernoff.cumulant_upper_bound(sg, tb)
+        x = c * eps / v
+        rhs = v / (c * c) * (x - math.log1p(x))
+        if abs(lhs - rhs) > max(1e-12 * abs(rhs), 1e-15):
+            return f"Beta({a},{b}) eps={eps}: {lhs} != {rhs}"
     return None
 
 
@@ -453,22 +456,21 @@ def expansion_ladder(params: moments.BetaParams, top: float) -> list[tuple]:
     return rows
 
 
-def check_exponent_expansion() -> str | None:
+def check_exponent_expansion(a, b) -> str | None:
     """|psi* - (eps^2/2v - c eps^3/6v^2)| / eps^4 stays within 4x, and every solve converges.
 
     A ladder topped at one sd keeps c eps / v below about 1.4. A top of 0.02 serves
     where it is below 2 sd: at Beta(2, 998) it is 14 sd, and c eps / v 20.
     """
-    for a, b in SD_LADDER_PAIRS:
-        params = moments.BetaParams(a, b)
-        sd = math.sqrt(float(bounds.sub_gamma_params(params).v))
-        for top in (0.02, sd) if 0.02 < 2.0 * sd else (sd,):
-            rows = expansion_ladder(params, top)
-            if not all(res.converged for _, res, _, _ in rows):
-                return f"Beta({a},{b}): a Chernoff solve from eps={top} down did not converge"
-            ratios = [row[3] for row in rows]
-            if max(ratios) / min(ratios) >= 4.0:
-                return f"Beta({a},{b}): residual/eps^4 ratios {ratios} spread beyond 4x"
+    params = moments.BetaParams(a, b)
+    sd = math.sqrt(float(bounds.sub_gamma_params(params).v))
+    for top in (0.02, sd) if 0.02 < 2.0 * sd else (sd,):
+        rows = expansion_ladder(params, top)
+        if not all(res.converged for _, res, _, _ in rows):
+            return f"Beta({a},{b}): a Chernoff solve from eps={top} down did not converge"
+        ratios = [row[3] for row in rows]
+        if max(ratios) / min(ratios) >= 4.0:
+            return f"Beta({a},{b}): residual/eps^4 ratios {ratios} spread beyond 4x"
     return None
 
 
@@ -500,33 +502,52 @@ def check_chernoff_edge() -> str | None:
     return None
 
 
-CHECKS: list[tuple[str, object]] = [
-    ("ORACLE-EQUIVALENCE", check_oracle_equivalence),
-    ("SIGN-ODD-MOMENTS", check_sign_odd_moments),
-    ("EVEN-NONNEGATIVE", check_even_moments_nonnegative),
-    ("MOMENT-BOUNDEDNESS", check_moment_boundedness),
-    ("SCALED-RECURSION", check_scaled_recursion),
-    ("P-RECURSIVE-FORM", check_p_recursive_form),
-    ("VARIANCE-SCALE-IDENTITIES", check_variance_scale_identities),
-    ("VC-SIGN-CONSISTENCY", check_vc_sign_consistency),
-    ("IBETA-SYMMETRY", check_ibeta_symmetry),
-    ("IBETA-MONOTONE", check_ibeta_monotone),
-    ("LOG-GAMMA-RATIO", check_log_gamma_ratio),
-    ("2F1-POCHHAMMER-SUM", check_2f1_pochhammer_sum),
-    ("BERNSTEIN-SOUNDNESS", check_bernstein_soundness),
-    ("BERNSTEIN-REFLECTION", check_bernstein_reflection),
-    ("BOUND-MONOTONICITY", check_bound_monotonicity),
-    ("LOG-REFINEMENT", check_log_refinement),
-    ("SUBGAUSSIAN-PROXY", check_subgaussian_proxy),
-    ("COMPARISON-ORDERING", check_comparison_ordering),
-    ("MGF-SERIES-CONSISTENCY", check_mgf_series_consistency),
-    ("CGF-CONVEXITY", check_cgf_convexity),
-    ("MGF-DERIVATIVE-RATIO", check_derivative_ratio),
-    ("CUMULANT-UPPER-BOUND", check_cumulant_upper_bound),
-    ("EXPONENT-DOMINATES-BOUND", check_exponent_dominates_bound),
-    ("TILT-IDENTITY", check_tilt_identity),
-    ("EXPONENT-EXPANSION", check_exponent_expansion),
-    ("CHERNOFF-EDGE", check_chernoff_edge),
+CHECKS: list[tuple[str, Check]] = [
+    ("ORACLE-EQUIVALENCE", Check(check_oracle_equivalence, BASE_PAIRS)),
+    ("SIGN-ODD-MOMENTS", Check(check_sign_odd_moments, _RANDOM_SHAPES)),
+    ("EVEN-NONNEGATIVE", Check(check_even_moments_nonnegative, BASE_PAIRS + _RANDOM_SHAPES)),
+    ("MOMENT-BOUNDEDNESS", Check(check_moment_boundedness, BASE_PAIRS)),
+    ("SCALED-RECURSION", Check(check_scaled_recursion, BASE_PAIRS + _RANDOM_SHAPES)),
+    ("P-RECURSIVE-FORM", Check(check_p_recursive_form, BASE_PAIRS)),
+    ("VARIANCE-SCALE-IDENTITIES", Check(check_variance_scale_identities, BASE_PAIRS)),
+    ("VC-SIGN-CONSISTENCY", Check(
+        check_vc_sign_consistency, BASE_PAIRS + [(Fraction(3), Fraction(1))]
+    )),
+    ("IBETA-SYMMETRY", Check(check_ibeta_symmetry)),
+    ("IBETA-MONOTONE", Check(
+        check_ibeta_monotone, [(0.5, 0.5), (2.0, 98.0), (7.0, 11.0 / 3.0), (98.0, 2.0)]
+    )),
+    ("LOG-GAMMA-RATIO", Check(check_log_gamma_ratio, [(0.5,), (1.0,), (2.5,), (10.0,), (100.0,)])),
+    ("2F1-POCHHAMMER-SUM", Check(check_2f1_pochhammer_sum)),
+    ("BERNSTEIN-SOUNDNESS", Check(check_bernstein_soundness, BASE_PAIRS)),
+    ("BERNSTEIN-REFLECTION", Check(
+        check_bernstein_reflection,
+        [(Fraction(2), Fraction(98)), (Fraction(7), Fraction(11, 3))],
+    )),
+    ("BOUND-MONOTONICITY", Check(
+        check_bound_monotonicity, BASE_PAIRS + [(Fraction(5), Fraction(5))]
+    )),
+    ("LOG-REFINEMENT", Check(check_log_refinement)),
+    ("SUBGAUSSIAN-PROXY", Check(check_subgaussian_proxy)),
+    ("COMPARISON-ORDERING", Check(
+        check_comparison_ordering,
+        [(Fraction(2), Fraction(98), 0.05), (Fraction(2), Fraction(998), 0.005)],
+    )),
+    ("MGF-SERIES-CONSISTENCY", Check(
+        check_mgf_series_consistency,
+        [(Fraction(2), Fraction(98)), (Fraction(2), Fraction(3)), (Fraction(98), Fraction(2))],
+    )),
+    ("CGF-CONVEXITY", Check(
+        check_cgf_convexity, [(Fraction(2), Fraction(98)), (Fraction(5), Fraction(5))]
+    )),
+    ("MGF-DERIVATIVE-RATIO", Check(check_derivative_ratio, _INEQUALITY_PAIRS)),
+    ("CUMULANT-UPPER-BOUND", Check(check_cumulant_upper_bound, _INEQUALITY_PAIRS)),
+    ("EXPONENT-DOMINATES-BOUND", Check(
+        check_exponent_dominates_bound, [(2, 98), (2, 998), (5, 5), (1, 1), (2, 3)]
+    )),
+    ("TILT-IDENTITY", Check(check_tilt_identity, [(2, 98), (2, 998), (2, 3), (1, 2)])),
+    ("EXPONENT-EXPANSION", Check(check_exponent_expansion, SD_LADDER_PAIRS)),
+    ("CHERNOFF-EDGE", Check(check_chernoff_edge)),
 ]
 
 
