@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the tail-bound comparison CSVs for the two skewed benchmark shapes.
 
-Writes beta_2_98.csv (deviations 0..0.05) and beta_2_998.csv (0..0.005),
+Writes the tables of betatails._verify.PAPER_TABLES, beta_2_98.csv
+(deviations 0..0.05) and beta_2_998.csv (0..0.005),
 each with columns epsilon,exact,bernstein,subgaussian,chernoff. Output is
 byte-for-byte reproducible, and the sha256 of each CSV is printed after it
 is written: these are the digests tests/test_cli.py pins for the two tables.
@@ -14,11 +15,12 @@ import hashlib
 import sys
 from pathlib import Path
 
+from betatails._verify import PAPER_TABLES
 from betatails.cli import main
 
 JOBS = [
-    ("2", "98", "0:0.05:100", "beta_2_98.csv"),
-    ("2", "998", "0:0.005:100", "beta_2_998.csv"),
+    (str(alpha), str(beta), f"0:{stop}:100", f"beta_{alpha}_{beta}.csv")
+    for alpha, beta, stop in PAPER_TABLES
 ]
 
 

@@ -23,6 +23,8 @@ from fractions import Fraction
 from .moments import BetaParams, Scalar
 from .specfun import ConvergenceError, _cgf_kernel, regularized_incomplete_beta
 
+_NEWTON_STEPS = 200  # _bracketed_newton's budget, for the proxy and the Chernoff solve alike
+
 
 class TailSide(Enum):
     UPPER = "upper"
@@ -155,8 +157,8 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
     shape's root nears 0: below it g is about kappa_4 t^4 / 12, so the stop
     fires by t^2 = 2^-52 24 v / |kappa_4|. Over shapes from 1e-3 to 1e5 the
     root stays below 18 (alpha+beta+1). A NaN residual, a step past t = 1e3
-    (alpha+beta+1), no root in 200 steps or a value 1e-9 over Elder's proxy
-    1/(4 (alpha+beta+1)) (arXiv:1611.00065) raises ConvergenceError.
+    (alpha+beta+1), no root in _NEWTON_STEPS steps or a value 1e-9 over
+    Elder's proxy 1/(4 (alpha+beta+1)) (arXiv:1611.00065) raises ConvergenceError.
     """
     v = float(sub_gamma_params(params).v)
     if params.alpha == params.beta:
@@ -172,11 +174,12 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
 
     limit = 1e3 * (float(params.total) + 1.0)
     best, _, step, bracket = _bracketed_newton(
-        evaluate, v, 4.0 * math.sqrt(a + b + 1.0), 0.5, 200, limit, "sub-gaussian proxy", params
+        evaluate, v, 4.0 * math.sqrt(a + b + 1.0), 0.5, limit, "sub-gaussian proxy", params
     )
     if bracket is not None:
         raise ConvergenceError(
-            f"sub-gaussian proxy root not found for {params} in 200 steps: {list(bracket)}"
+            f"sub-gaussian proxy root not found for {params} in {_NEWTON_STEPS} steps: "
+            f"{list(bracket)}"
         )
     elder = 1.0 / (4.0 * (float(params.total) + 1.0))
     if not best <= elder * (1.0 + 1e-9):
@@ -198,7 +201,7 @@ def subgaussian_bound(params: BetaParams, eps: float) -> float:
     return sub_gamma_bound(SubGammaParams(v=subgaussian_optimal_proxy(params), c=0), eps)
 
 
-def _bracketed_newton(evaluate, best, t, cut, steps, limit, name, params):
+def _bracketed_newton(evaluate, best, t, cut, limit, name, params):
     """Largest objective evaluated by safeguarded Newton steps toward the root of r from t.
 
     evaluate(t) gives (objective, r, r', stop): r > 0 below the root, r <= 0 above
@@ -207,12 +210,12 @@ def _bracketed_newton(evaluate, best, t, cut, steps, limit, name, params):
     leaving the bracket bisects it, and while lo = 0 one must land below cut * hi.
     It stops on stop, r = 0 or a bracket 1e-13 relative wide, and returns (the
     largest objective, at least best, its value at t = 0; the last t giving it, or
-    0.0; the steps; None, or the bracket (lo, hi) once the steps run out). A NaN
-    r, or a next t past limit, raises ConvergenceError.
+    0.0; the steps; None, or the bracket (lo, hi) once _NEWTON_STEPS run out). A
+    NaN r, or a next t past limit, raises ConvergenceError.
     """
     lo, hi = 0.0, math.inf
     best_t = 0.0
-    for step in range(1, steps + 1):
+    for step in range(1, _NEWTON_STEPS + 1):
         value, r, slope, stop = evaluate(t)
         if math.isnan(r):
             raise ConvergenceError(
@@ -235,4 +238,4 @@ def _bracketed_newton(evaluate, best, t, cut, steps, limit, name, params):
             raise ConvergenceError(
                 f"{name} still rising at t={lo} for {params} after {step} steps: limit t = {limit}"
             )
-    return best, best_t, steps, (lo, hi)
+    return best, best_t, _NEWTON_STEPS, (lo, hi)

@@ -24,8 +24,6 @@ from .bounds import SubGammaParams, TailSide, _bracketed_newton, sub_gamma_param
 from .moments import BetaParams
 from .specfun import _cgf_kernel
 
-_SOLVE_STEPS = 200
-
 
 @dataclass(frozen=True)
 class ChernoffResult:
@@ -135,7 +133,7 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
             return f, gap, -curvature, gap * gap <= 2.0**-52 * curvature * f
 
         best_f, best_t, _, bracket = _bracketed_newton(
-            evaluate, 0.0, t, 1.0, _SOLVE_STEPS, math.inf, "Chernoff exponent", params
+            evaluate, 0.0, t, 1.0, math.inf, "Chernoff exponent", params
         )
         fits = [*(old for old in fits[-2:] if old[0] != fit[0]), fit]
         results.append(ChernoffResult(exponent=best_f, t_star=best_t, converged=bracket is None))

@@ -8,10 +8,10 @@ Subcommands:
                 numeric Chernoff bounds over a deviation grid
     verify   -- run the built-in invariant suite
 
-Shape parameters accept decimal literals (numeric path) or p/q rational
-literals (exact path). Exit codes: 0 success, 1 verification failure,
-2 argument error, 3 I/O failure, 4 internal soundness violation, 5 a series
-or solver that did not converge.
+Shape parameters accept integer and p/q rational literals (exact path) or
+any other decimal literal (numeric path). main maps each failure to its exit
+code: 0 success, 1 verification failure, 2 argument error, 3 I/O failure,
+4 internal soundness violation, 5 a series or solver that did not converge.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def render_csv(rows: list[ComparisonRow]) -> str:
 
 
 def parse_scalar(text: str):
-    """Parameter literal: 'p/q' is exact, anything else parses as a float."""
+    """Parameter literal: 'p/q' and an integer are exact Fractions, anything else a float."""
     text = text.strip()
     if "/" in text:
         try:
@@ -159,7 +159,7 @@ def cmd_bound(args) -> int:
     # report the parameters of the side actually evaluated (lower = swapped upper)
     effective = params if side is bounds.TailSide.UPPER else params.swapped()
     sg = bounds.sub_gamma_params(effective)
-    branch = "sub-gamma" if effective.beta >= effective.alpha else "gaussian"
+    branch = "sub-gamma" if bounds.bernstein_params(effective) == sg else "gaussian"
     value = bounds.bernstein_tail_bound(params, args.eps, side)
     print(f"alpha = {params.alpha}")
     print(f"beta = {params.beta}")
@@ -174,12 +174,7 @@ def cmd_bound(args) -> int:
 
 def cmd_compare(args) -> int:
     params = _parse_params(args)
-    epss = parse_grid(args.grid, args.log_grid)
-    try:
-        rows = comparison_rows(params, epss)
-    except SoundnessError as exc:
-        print(f"soundness violation: {exc}", file=sys.stderr)
-        return 4
+    rows = comparison_rows(params, parse_grid(args.grid, args.log_grid))
     text = render_csv(rows)
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -206,23 +201,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Beta central moments and sharp Bernstein-type tail bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--alpha", required=True, help="shape alpha (decimal or p/q)")
+    shape.add_argument("--beta", required=True, help="shape beta (decimal or p/q)")
 
-    p_moments = sub.add_parser("moments", help="print exact central moments")
-    p_moments.add_argument("--alpha", required=True, help="shape alpha (decimal or p/q)")
-    p_moments.add_argument("--beta", required=True, help="shape beta (decimal or p/q)")
+    p_moments = sub.add_parser("moments", parents=[shape], help="print exact central moments")
     p_moments.add_argument("--dmax", type=int, required=True, help="largest moment order")
     p_moments.set_defaults(func=cmd_moments)
 
-    p_bound = sub.add_parser("bound", help="evaluate the Bernstein-type tail bound")
-    p_bound.add_argument("--alpha", required=True)
-    p_bound.add_argument("--beta", required=True)
+    p_bound = sub.add_parser(
+        "bound", parents=[shape], help="evaluate the Bernstein-type tail bound"
+    )
     p_bound.add_argument("--eps", type=float, required=True, help="deviation from the mean")
     p_bound.add_argument("--side", choices=["upper", "lower"], required=True)
     p_bound.set_defaults(func=cmd_bound)
 
-    p_compare = sub.add_parser("compare", help="write a bound-comparison CSV")
-    p_compare.add_argument("--alpha", required=True)
-    p_compare.add_argument("--beta", required=True)
+    p_compare = sub.add_parser("compare", parents=[shape], help="write a bound-comparison CSV")
     p_compare.add_argument("--grid", required=True, help="deviation grid start:stop:steps")
     p_compare.add_argument("--out", required=True, help="output CSV path")
     p_compare.add_argument("--log-grid", action="store_true", help="log-spaced grid")
@@ -242,6 +236,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
+    except SoundnessError as exc:
+        print(f"soundness violation: {exc}", file=sys.stderr)
+        return 4
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 5

@@ -8,8 +8,8 @@ only. Criterion 2 has no registry check. Criterion 4 is COMPARISON-ORDERING
 run through the CLI: it reads the CSVs that ``betatails compare`` writes.
 Criterion 8 runs LOG-GAMMA-RATIO beside its quadrature oracles.
 
-The quadrature oracles used here are arbitrary-precision adaptive integrals
-(mpmath tanh-sinh), fully independent of the library's own kernels.
+The quadrature oracle, ``oracles.beta_quadrature``, is an arbitrary-precision
+tanh-sinh integral, fully independent of the library's own kernels.
 """
 
 import math
@@ -17,7 +17,7 @@ import random
 import time
 from contextlib import contextmanager
 
-import mpmath as mp
+import oracles
 import pytest
 
 from betatails import _verify
@@ -81,7 +81,7 @@ def _comparison_rows_via_cli(tmp_path, alpha, beta, stop):
 
 def test_criterion_4_comparison_reproduction(tmp_path):
     with criterion("4 COMPARISON DATA REPRODUCTION", budget_s=60.0):
-        for alpha, beta, stop in ((2, 98, 0.05), (2, 998, 0.005)):
+        for alpha, beta, stop in _verify.PAPER_TABLES:
             rows = _comparison_rows_via_cli(tmp_path, alpha, beta, stop)
             assert len(rows) == 100
             for eps, exact, bern, subg, cher in rows[1:-1]:
@@ -121,47 +121,27 @@ def test_criterion_7_moment_sign_and_recursion():
         run_checks("SIGN-ODD-MOMENTS", "EVEN-NONNEGATIVE", "SCALED-RECURSION")
 
 
-def _ibeta_quadrature_oracle(a, b, x):
-    """I_x(a, b) as a ratio of adaptive quadratures of the bare density kernel."""
-    aa, bb, xx = mp.mpf(a), mp.mpf(b), mp.mpf(x)
-    kernel = lambda u: u ** (aa - 1) * (1 - u) ** (bb - 1)
-    return mp.quad(kernel, [0, xx]) / mp.quad(kernel, [0, 1])
-
-
-def _mgf_quadrature_oracle(a, b, t):
-    """E[exp(t X)] for X ~ Beta(a, b) by adaptive quadrature; equals 1F1(a; a+b; t)."""
-    aa, bb, tt = mp.mpf(a), mp.mpf(b), mp.mpf(t)
-    kernel = lambda u: u ** (aa - 1) * (1 - u) ** (bb - 1)
-    weighted = lambda u: mp.e ** (tt * u) * kernel(u)
-    return mp.quad(weighted, [0, 1]) / mp.quad(kernel, [0, 1])
-
-
 def test_criterion_8_specfun_accuracy():
     with criterion("8 SPECFUN ACCURACY", budget_s=30.0):
-        old_dps = mp.mp.dps
-        mp.mp.dps = 30
-        try:
-            rng = random.Random(20260810)
-            for _ in range(100):
-                a = rng.uniform(0.4, 40.0)
-                b = rng.uniform(0.4, 40.0)
-                x = rng.uniform(0.02, 0.98)
-                oracle = float(_ibeta_quadrature_oracle(a, b, x))
-                got = regularized_incomplete_beta(a, b, x)
-                assert got == pytest.approx(oracle, rel=1e-10), f"I_{x}({a},{b})"
-            for _ in range(50):
-                a = rng.uniform(0.5, 30.0)
-                b = rng.uniform(0.5, 30.0)
-                t = rng.uniform(-20.0, 20.0)
-                oracle = float(_mgf_quadrature_oracle(a, b, t))
-                got = math.exp(log_kummer_1f1(a, a + b, t))
-                assert got == pytest.approx(oracle, rel=1e-10), f"1F1({a};{a + b};{t})"
-            assert abs(log_gamma(1.0)) <= 1e-12
-            assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-12)
-            assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-12)
-            run_checks("LOG-GAMMA-RATIO")
-        finally:
-            mp.mp.dps = old_dps
+        rng = random.Random(20260810)
+        for _ in range(100):
+            a = rng.uniform(0.4, 40.0)
+            b = rng.uniform(0.4, 40.0)
+            x = rng.uniform(0.02, 0.98)
+            oracle = float(oracles.beta_quadrature(a, b, x=x))
+            got = regularized_incomplete_beta(a, b, x)
+            assert got == pytest.approx(oracle, rel=1e-10), f"I_{x}({a},{b})"
+        for _ in range(50):
+            a = rng.uniform(0.5, 30.0)
+            b = rng.uniform(0.5, 30.0)
+            t = rng.uniform(-20.0, 20.0)
+            oracle = float(oracles.beta_quadrature(a, b, t=t))
+            got = math.exp(log_kummer_1f1(a, a + b, t))
+            assert got == pytest.approx(oracle, rel=1e-10), f"1F1({a};{a + b};{t})"
+        assert abs(log_gamma(1.0)) <= 1e-12
+        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-12)
+        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-12)
+        run_checks("LOG-GAMMA-RATIO")
 
 
 def test_criterion_9_chernoff_edge():

@@ -5,10 +5,11 @@ import sys
 import time
 from fractions import Fraction
 
-import mpmath
+import oracles
 import pytest
 
 from betatails import chernoff
+from betatails._verify import _logspace
 from betatails.bounds import TailSide, bernstein_params, exact_tail, sub_gamma_params
 from betatails.chernoff import (
     ChernoffResult,
@@ -30,42 +31,6 @@ SOLVE_ORACLE_SHAPES = [(2, 98), (2, 998), (5, 5), (2, 3), (98, 2), (0.5, 0.7), (
 # deviations as fractions of the upper support width; every root lies below t = 1e5,
 # where the mpmath oracle's root search stays quick
 SOLVE_ORACLE_FRACTIONS = [1e-3, 1e-2, 0.1, 0.5, 0.9]
-
-
-def _mp_hyp(a, c, t):
-    return mpmath.hyp1f1(a, c, t, maxterms=10**6)
-
-
-def _mp_cgf(alpha, beta, t):
-    """psi(t) = -t mu + log 1F1(alpha; alpha+beta; t) from mpmath at 40 digits."""
-    with mpmath.workdps(40):
-        a, s, t = mpmath.mpf(alpha), mpmath.mpf(alpha) + mpmath.mpf(beta), mpmath.mpf(t)
-        return -t * a / s + mpmath.log(_mp_hyp(a, s, t))
-
-
-def _mp_chernoff(alpha, beta, eps):
-    """psi*(eps) = t eps - psi(t) at the root of psi'(t) = eps, mpmath at 40 digits.
-
-    psi'(t) = -mu + (alpha/s) 1F1(alpha+1; s+1; t) / 1F1(alpha; s; t); the root
-    is bracketed by doubling t from 1 and polished by mpmath's own solver.
-    """
-    with mpmath.workdps(40):
-        a, b, eps = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(eps)
-        s = a + b
-
-        def excess_slope(t):
-            return -a / s + a / s * _mp_hyp(a + 1, s + 1, t) / _mp_hyp(a, s, t) - eps
-
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        while excess_slope(hi) < 0:
-            lo, hi = hi, 2 * hi
-        root = mpmath.findroot(excess_slope, (lo, hi), solver="anderson")
-        return root * eps - _mp_cgf(alpha, beta, root)
-
-
-def _logspace(lo, hi, n):
-    r = math.log(hi / lo)
-    return [lo * math.exp(r * i / (n - 1)) for i in range(n)]
 
 
 def _ratio_holds(params, t):
@@ -116,7 +81,7 @@ class TestCgf:
         # a sum from k = 0 would need about 2t terms; the walk out from the
         # series' peak samples its bell at about 40 points, well inside the
         # 4t + 2000 term budget
-        expected = _mp_cgf(2, 98, 2e5)
+        expected = oracles.cgf(2, 98, 2e5)
         assert cgf(BetaParams(2, 98), 2e5) == pytest.approx(float(expected), rel=1e-12)
 
     @pytest.mark.parametrize("t", [1e11, 1e15])
@@ -125,7 +90,7 @@ class TestCgf:
         start = time.perf_counter()
         psi = cgf(BetaParams(2, 98), t)
         assert time.perf_counter() - start < 0.1
-        assert psi == pytest.approx(float(_mp_cgf(2, 98, t)), rel=1e-12)
+        assert psi == pytest.approx(float(oracles.cgf(2, 98, t)), rel=1e-12)
 
     def test_huge_shapes_stay_finite(self):
         # a * b / s^2 formed in floats would overflow to inf / inf = nan here
@@ -215,7 +180,8 @@ class TestChernoffExponent:
             eps = fraction * width
             res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
             assert res.converged
-            assert res.exponent == pytest.approx(float(_mp_chernoff(a, b, eps)), rel=1e-12)
+            expected = float(oracles.chernoff_exponent(a, b, eps))
+            assert res.exponent == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.0, 0.98, 1.5])
     def test_domain_validation(self, eps):
@@ -236,7 +202,7 @@ class TestChernoffExponent:
             assert time.perf_counter() - start < 5.0
             assert res.converged
             floor = res.t_star * eps * 2.0**-52 if gap < 1e-4 else 0.0
-            expected = float(_mp_chernoff(2, 98, eps))
+            expected = float(oracles.chernoff_exponent(2, 98, eps))
             assert res.exponent == pytest.approx(expected, rel=1e-12, abs=floor)
             assert math.exp(-res.exponent) >= exact_tail(p, eps, TailSide.UPPER) - 1e-10
 
@@ -251,7 +217,8 @@ class TestChernoffExponent:
         res = chernoff_exponent_numeric(p, eps, TailSide.UPPER)
         assert time.perf_counter() - start < 5.0
         assert res.converged
-        assert res.exponent == pytest.approx(float(_mp_chernoff(527.9, 263.4, eps)), rel=1e-12)
+        expected = float(oracles.chernoff_exponent(527.9, 263.4, eps))
+        assert res.exponent == pytest.approx(expected, rel=1e-12)
         assert math.exp(-res.exponent) >= exact_tail(p, eps, TailSide.UPPER) - 1e-10
 
     @pytest.mark.parametrize("eps", [1e-97, 1e-120, 1e-150])
@@ -286,7 +253,8 @@ class TestChernoffExponent:
             bisections += hi < math.inf and tilts[k][0] == 0.5 * (lo + hi)
         assert bisections >= 1
         assert res.converged
-        assert res.exponent == pytest.approx(float(_mp_chernoff(0.01, 1e4, eps)), rel=1e-12)
+        expected = float(oracles.chernoff_exponent(0.01, 1e4, eps))
+        assert res.exponent == pytest.approx(expected, rel=1e-12)
 
     def test_lost_root_reports_steps(self, monkeypatch):
         # a NaN psi' past t = 1 would let the bracket close on the jump to NaN and
@@ -362,7 +330,8 @@ class TestChernoffExponents:
         assert results[0] == ChernoffResult(0.0, 0.0, True)
         for eps, result in zip(epss[1:], results[1:]):
             assert result.converged
-            assert result.exponent == pytest.approx(float(_mp_chernoff(2, 98, eps)), rel=1e-12)
+            expected = float(oracles.chernoff_exponent(2, 98, eps))
+            assert result.exponent == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("a,b", SOLVE_ORACLE_SHAPES)
     def test_repeated_deviation_at_a_kernel_slope_is_the_cold_solve(self, a, b):

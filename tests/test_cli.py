@@ -272,8 +272,9 @@ class TestCompareCommand:
         # the support width of Beta(2, 98) is 0.98: the first point's solve
         # takes 6 steps from its first guess; the last point's, warm-started
         # at twice the first one's last tilt (404), takes 27 to its tilt near
-        # 1e9, so a budget of 10 steps leaves only the last one unconverged
-        monkeypatch.setattr(chernoff, "_SOLVE_STEPS", 10)
+        # 1e9, so a budget of 10 steps leaves only the last one unconverged;
+        # the proxy, which shares the budget, takes 6
+        monkeypatch.setattr(bounds, "_NEWTON_STEPS", 10)
         out = tmp_path / "edge.csv"
         args = ["compare", "--alpha", "2", "--beta", "98", "--grid", "0.5:0.9799999:2"]
         assert main(args + ["--out", str(out)]) == 0
@@ -416,72 +417,145 @@ class TestRenderCsv:
         assert all(float(tok) == value for tok in rendered.split(","))
 
 
-def _second_moment_scaled(central_moments_recursive):
-    """central_moments_recursive with mu_2 off by 1e-9 relative."""
+def _moment_scaled(d, factor):
+    """A wrapper of central_moments_recursive that multiplies mu_d by factor."""
 
-    def perturbed(params, dmax):
-        table = central_moments_recursive(params, dmax)
-        central = list(table.central)
-        central[2] *= 1 + Fraction(1, 10**9)
-        return replace(table, central=tuple(central))
+    def wrap(central_moments_recursive):
+        def perturbed(params, dmax):
+            table = central_moments_recursive(params, dmax)
+            central = list(table.central)
+            central[d] *= factor
+            return replace(table, central=tuple(central))
 
-    return perturbed
+        return perturbed
+
+    return wrap
 
 
-# The checks that took over a fixed-grid unit test, each with a perturbation of
-# the library it must catch and a piece of the failure string it then returns:
-# (module, name, wrapper of the original, failure text).
-ABSORBING_PERTURBATIONS = {
-    "ORACLE-EQUIVALENCE": (
-        moments, "central_moment_hypergeom_oracle",
-        lambda f: lambda params, d: f(params, d) * (1 + Fraction(1, 10**9)), "hypergeometric=",
-    ),
-    "SCALED-RECURSION": (
-        moments, "central_moments_recursive", _second_moment_scaled, "scaled recursion violated",
-    ),
-    "P-RECURSIVE-FORM": (
-        moments, "recursion_coefficients",
-        lambda f: lambda params, d: (*f(params, d)[:2], f(params, d)[2] + d * d), "not linear in d",
-    ),
-    "VARIANCE-SCALE-IDENTITIES": (
-        moments, "central_moments_recursive", _second_moment_scaled, "mismatches closed form",
-    ),
-    "BOUND-MONOTONICITY": (
-        bounds, "bernstein_tail_bound",
-        lambda f: lambda params, eps, side: f(params, eps, side) + 1e-9 * eps, "bound increased",
-    ),
-    "MGF-SERIES-CONSISTENCY": (
-        chernoff, "centered_mgf", lambda f: lambda params, t: f(params, t) * (1 + 1e-6),
-        "|phi - series|",
-    ),
-    "CGF-CONVEXITY": (
-        chernoff, "cgf", lambda f: lambda params, t: f(params, t) - 1e-3 * t * t, "slope decreased",
-    ),
-    "TILT-IDENTITY": (  # the identity branch: the best tilt itself is untouched
-        chernoff, "cumulant_upper_bound", lambda f: lambda sg, t: f(sg, t) * (1 + 1e-9), " != ",
-    ),
-    "EXPONENT-EXPANSION": (  # a cubic error term: the residual / eps^4 grows like 1 / eps
-        chernoff, "chernoff_exponent_expansion",
-        lambda f: lambda params, eps: f(params, eps) * (1 + eps), "spread beyond 4x",
-    ),
-    "LOG-GAMMA-RATIO": (
-        _verify, "log_gamma", lambda f: lambda x: f(x) + 1e-9 * x, "Gamma(x+1)/Gamma(x)",
-    ),
-    "IBETA-MONOTONE": (
-        _verify, "regularized_incomplete_beta",
-        lambda f: lambda a, b, x: f(a, b, x) - 1e-9 * x, "decreased at x=",
-    ),
-}
+def _unconverged(f):
+    return lambda params, eps, side: replace(f(params, eps, side), converged=False)
+
+
+# Each check that took over a fixed-grid unit test, and each failure return that no
+# other test reaches, with a perturbation of the library that the check must catch
+# and a piece of the failure string it then returns: (check, module, name, wrapper
+# of the original, failure text). A check with several returns appears once per return.
+ABSORBING_PERTURBATIONS = [
+    ("ORACLE-EQUIVALENCE",
+     moments, "central_moment_hypergeom_oracle",
+     lambda f: lambda params, d: f(params, d) * (1 + Fraction(1, 10**9)), "hypergeometric="),
+    ("SIGN-ODD-MOMENTS",
+     moments, "central_moments_recursive", _moment_scaled(3, -1), "sign(mu_d)="),
+    ("EVEN-NONNEGATIVE",
+     moments, "central_moments_recursive", _moment_scaled(2, -1), "< 0"),
+    ("MOMENT-BOUNDEDNESS",
+     moments, "central_moments_recursive", _moment_scaled(4, 10**6), "> 1"),
+    ("SCALED-RECURSION",
+     moments, "central_moments_recursive", _moment_scaled(2, 1 + Fraction(1, 10**9)),
+     "scaled recursion violated"),
+    ("P-RECURSIVE-FORM",
+     moments, "recursion_coefficients",
+     lambda f: lambda params, d: (*f(params, d)[:2], f(params, d)[2] + d * d), "not linear in d"),
+    ("VARIANCE-SCALE-IDENTITIES",
+     moments, "central_moments_recursive", _moment_scaled(2, 1 + Fraction(1, 10**9)),
+     "mismatches closed form"),
+    ("VARIANCE-SCALE-IDENTITIES",
+     moments, "central_moments_recursive", _moment_scaled(3, 1 + Fraction(1, 10**9)),
+     "mu_3/mu_2 mismatches closed form"),
+    ("VC-SIGN-CONSISTENCY",
+     bounds, "sub_gamma_params", lambda f: lambda params: replace(f(params), v=2 * f(params).v),
+     "but mu_2="),
+    ("2F1-POCHHAMMER-SUM",
+     _verify, "gauss_2f1_terminating",
+     lambda f: lambda a, d, c, z: f(a, d, c, z) + Fraction(1, 10**9), "!= direct sum"),
+    ("BERNSTEIN-REFLECTION",
+     bounds, "bernstein_tail_bound",
+     lambda f: lambda params, eps, side: f(params, eps, side) * (
+         1 + 1e-9 * (side is bounds.TailSide.LOWER)
+     ), "!= swapped upper"),
+    ("BOUND-MONOTONICITY",
+     bounds, "bernstein_tail_bound",
+     lambda f: lambda params, eps, side: f(params, eps, side) + 1e-9 * eps, "bound increased"),
+    ("LOG-REFINEMENT",
+     bounds, "log_upper_bound", lambda f: lambda x: f(x) + 1e-9, "must vanish at x = 0"),
+    ("LOG-REFINEMENT",
+     bounds, "log_upper_bound", lambda f: lambda x: f(x) + 1e-9 * x, "expected 0.75"),
+    ("LOG-REFINEMENT",  # exact at 0 and 3, but a contact ratio near -2 at the origin
+     bounds, "log_upper_bound", lambda f: lambda x: f(x) + x**3 * (3.0 - x) / 6.0,
+     "/ (x^3/6) ="),
+    ("LOG-REFINEMENT",  # only the draws past 50 reach it
+     bounds, "log_upper_bound", lambda f: lambda x: math.log1p(x) if x > 50.0 else f(x),
+     "log(1+x) <= refinement at x="),
+    ("SUBGAUSSIAN-PROXY",
+     bounds, "subgaussian_optimal_proxy", lambda f: lambda params: f(params) * (1 + 1e-3),
+     "Beta(5,5): proxy"),
+    ("SUBGAUSSIAN-PROXY",
+     bounds, "subgaussian_optimal_proxy",
+     lambda f: lambda params: float(bounds.sub_gamma_params(params).v), "not strictly above v"),
+    ("COMPARISON-ORDERING",  # the rows stay sound: only the strict ordering fails
+     _verify, "comparison_rows",
+     lambda f: lambda params, epss: [r._replace(subgaussian=r.bernstein) for r in f(params, epss)],
+     "ordering exact < bernstein < subgaussian violated"),
+    ("MGF-SERIES-CONSISTENCY",
+     chernoff, "centered_mgf", lambda f: lambda params, t: f(params, t) * (1 + 1e-6),
+     "|phi - series|"),
+    ("CGF-CONVEXITY",
+     chernoff, "cgf", lambda f: lambda params, t: f(params, t) - 1e-3 * t * t, "slope decreased"),
+    ("TILT-IDENTITY",  # the identity branch: the best tilt itself is untouched
+     chernoff, "cumulant_upper_bound", lambda f: lambda sg, t: f(sg, t) * (1 + 1e-9), " != "),
+    ("EXPONENT-EXPANSION",  # a cubic error term: the residual / eps^4 grows like 1 / eps
+     chernoff, "chernoff_exponent_expansion",
+     lambda f: lambda params, eps: f(params, eps) * (1 + eps), "spread beyond 4x"),
+    ("EXPONENT-EXPANSION",
+     chernoff, "chernoff_exponent_numeric", _unconverged, "did not converge"),
+    ("CHERNOFF-EDGE",
+     chernoff, "chernoff_exponent_numeric", _unconverged, "Chernoff optimizer did not converge"),
+    ("CHERNOFF-EDGE",
+     bounds, "exact_tail", lambda f: lambda params, eps, side: 1.0, "below exact tail"),
+    ("CHERNOFF-EDGE",  # the tails this far out are far below the 1e-10 slack
+     chernoff, "chernoff_exponent_numeric",
+     lambda f: lambda params, eps, side: replace(
+         f(params, eps, side), exponent=f(params, eps, side).exponent * (1 + 1e-9)
+     ), "mpmath 1120.459313107545"),
+    ("LOG-GAMMA-RATIO",
+     _verify, "log_gamma", lambda f: lambda x: f(x) + 1e-9 * x, "Gamma(x+1)/Gamma(x)"),
+    ("IBETA-MONOTONE",
+     _verify, "regularized_incomplete_beta",
+     lambda f: lambda a, b, x: f(a, b, x) - 1e-9 * x, "decreased at x="),
+]
+_CHECK_NAMES = [entry[0] for entry in ABSORBING_PERTURBATIONS]
+# a check's first perturbation takes the check's name as its test id, later ones "-2", "-3"
+_PERTURBATION_IDS = [
+    name + (f"-{_CHECK_NAMES[:k].count(name) + 1}" if name in _CHECK_NAMES[:k] else "")
+    for k, name in enumerate(_CHECK_NAMES)
+]
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("name", list(ABSORBING_PERTURBATIONS))
-    def test_absorbing_check_catches_its_perturbation(self, name, monkeypatch):
-        # no unit test restates these checks' grids, so each must be able to fail
-        module, attr, perturb, failure_text = ABSORBING_PERTURBATIONS[name]
+    @pytest.mark.parametrize(
+        "name,module,attr,perturb,failure_text", ABSORBING_PERTURBATIONS, ids=_PERTURBATION_IDS
+    )
+    def test_absorbing_check_catches_its_perturbation(
+        self, name, module, attr, perturb, failure_text, monkeypatch
+    ):
+        # no unit test restates these checks' grids, so each return must be able to fail
         monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
         failure = dict(_verify.CHECKS)[name]()
         assert failure is not None and failure_text in failure, failure
+
+    @pytest.mark.parametrize(
+        "case", dict(_verify.CHECKS)["MGF-SERIES-CONSISTENCY"].cases,
+        ids=lambda case: ",".join(map(str, case)),
+    )
+    def test_mgf_series_check_counts_at_every_tilt(self, case, monkeypatch):
+        # phi = 0 from |t| = 17.5 on passed the order-40 check at Beta(2,98) and
+        # Beta(98,2), whose allowed gap there exceeded phi itself
+        mgf = chernoff.centered_mgf
+        monkeypatch.setattr(
+            chernoff, "centered_mgf", lambda params, t: 0.0 if abs(t) >= 17.5 else mgf(params, t)
+        )
+        failure = dict(_verify.CHECKS)["MGF-SERIES-CONSISTENCY"].holds(*case)
+        assert failure is not None and "t=-20.0: |phi - series|" in failure, failure
 
     def test_full_level_passes_within_budget(self, capsys):
         start = time.perf_counter()
@@ -537,8 +611,7 @@ class TestComparisonRowsApi:
         assert 0.0 < rows[0].exact < 1.0
 
     @pytest.mark.parametrize("alpha,beta,grid,log_spacing", [
-        (2, 98, (0.0, 0.05, 100), False),
-        (2, 998, (0.0, 0.005, 100), False),
+        *((alpha, beta, (0.0, stop, 100), False) for alpha, beta, stop in _verify.PAPER_TABLES),
         (5, 5, (0.0, 0.45, 100), False),
         (98, 2, (0.0, 0.0196, 100), False),
         (300, 20, (0.0, 0.0625, 100), False),
@@ -562,62 +635,43 @@ class TestComparisonRowsApi:
             assert abs(row.chernoff - cell) <= tol * cell + math.ulp(0.0), row
             assert (repr(row.epsilon) in warned) == (not cold.converged)
 
-    @pytest.mark.parametrize("alpha,beta,stop", [(2, 98, 0.05), (2, 998, 0.005)])
+    @pytest.mark.parametrize("alpha,beta,stop", _verify.PAPER_TABLES)
     def test_chernoff_column_is_one_sweep_of_the_library(self, alpha, beta, stop):
         params, epss = BetaParams(alpha, beta), parse_grid(f"0:{stop}:100")
         rows = comparison_rows(params, epss)
         results = chernoff.chernoff_exponents(params, epss)
         assert [row.chernoff for row in rows] == [math.exp(-r.exponent) for r in results]
 
-    def test_warm_start_halves_kernel_evaluations(self, monkeypatch):
-        # from cold first guesses the paper grids took 6.2 evaluations a solve
-        calls = 0
+    @staticmethod
+    def _kernel_calls_per_table(monkeypatch):
+        """Kernel evaluations of comparison_rows on each paper table, at 100 deviations."""
+        calls = []
         kernel = chernoff._cgf_kernel
 
         def counted(a, b, t):
-            nonlocal calls
-            calls += 1
+            calls[-1] += 1
             return kernel(a, b, t)
 
         monkeypatch.setattr(chernoff, "_cgf_kernel", counted)
-        for alpha, beta, stop in [(2, 98, 0.05), (2, 998, 0.005)]:
-            calls = 0
+        for alpha, beta, stop in _verify.PAPER_TABLES:
+            calls.append(0)
             comparison_rows(BetaParams(alpha, beta), parse_grid(f"0:{stop}:100"))
-            assert calls <= 3.5 * 99  # every point but eps = 0 is solved
+        return calls
+
+    # every point but eps = 0 is solved: 99 solves a table
+    def test_warm_start_halves_kernel_evaluations(self, monkeypatch):
+        # from cold first guesses the paper grids took 6.2 evaluations a solve
+        assert max(self._kernel_calls_per_table(monkeypatch)) <= 3.5 * 99
 
     def test_second_order_prediction_takes_about_two_evaluations(self, monkeypatch):
         # tangent predictions with a stop on |psi' - eps| took 3.1 a solve; the
         # Hermite prediction and the stop at the exponent's rounding take about 2
-        calls = 0
-        kernel = chernoff._cgf_kernel
-
-        def counted(a, b, t):
-            nonlocal calls
-            calls += 1
-            return kernel(a, b, t)
-
-        monkeypatch.setattr(chernoff, "_cgf_kernel", counted)
-        for alpha, beta, stop in [(2, 98, 0.05), (2, 998, 0.005)]:
-            calls = 0
-            comparison_rows(BetaParams(alpha, beta), parse_grid(f"0:{stop}:100"))
-            assert calls <= 2.1 * 99  # every point but eps = 0 is solved
+        assert max(self._kernel_calls_per_table(monkeypatch)) <= 2.1 * 99
 
     def test_three_node_prediction_takes_about_one_evaluation(self, monkeypatch):
         # the quintic Hermite prediction through the last three solves meets the
         # stop test in most cells, so most solves take a single evaluation
-        calls = 0
-        kernel = chernoff._cgf_kernel
-
-        def counted(a, b, t):
-            nonlocal calls
-            calls += 1
-            return kernel(a, b, t)
-
-        monkeypatch.setattr(chernoff, "_cgf_kernel", counted)
-        for alpha, beta, stop in [(2, 98, 0.05), (2, 998, 0.005)]:
-            calls = 0
-            comparison_rows(BetaParams(alpha, beta), parse_grid(f"0:{stop}:100"))
-            assert calls <= 1.25 * 99  # every point but eps = 0 is solved
+        assert max(self._kernel_calls_per_table(monkeypatch)) <= 1.25 * 99
 
     def test_exact_tail_reads_float_shapes(self, monkeypatch):
         # the exact column is formed from one float BetaParams, not from

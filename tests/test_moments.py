@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-import mpmath
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,8 +73,7 @@ class TestRawMoment:
         # moment itself is still in range; a ratio of two rising factorials read nan
         for a, b in [(2.0, 98.0), (0.5, 0.5), (1e5, 3.0)]:
             for d in (150, 200, 1000):
-                with mpmath.workdps(50):
-                    ref = float(mpmath.rf(a, d) / mpmath.rf(a + b, d))
+                ref = float(oracles.raw_moment(a, b, d))
                 got = raw_moment(BetaParams(a, b), d)
                 assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (a, b, d)
 
@@ -207,14 +206,11 @@ class TestStandardizedMoments:
 
     @staticmethod
     def _oracle(a, b, d):
-        # mu_d from the terminating-2F1 route, divided at 40 digits
+        # mu_d from the terminating-2F1 route, divided in mpmath
         params = BetaParams(Fraction(a), Fraction(b))
         mu_d = central_moment_hypergeom_oracle(params, d)
         mu_2 = central_moment_hypergeom_oracle(params, 2)
-        with mpmath.workdps(40):
-            ratio = mpmath.mpf(mu_d.numerator) / mu_d.denominator
-            scale = (mpmath.mpf(mu_2.numerator) / mu_2.denominator) ** (mpmath.mpf(d) / 2)
-            return float(ratio / scale)
+        return float(oracles.standardized_ratio(mu_d, mu_2, d))
 
     # mu_2^(d/2) underflows a double at every point: d = 170 is inaccurate
     # and d >= 200 divides by zero if the two are floated separately
@@ -240,13 +236,7 @@ class TestStandardizedMoments:
     @pytest.mark.parametrize("a,b", [(1e200, 1.0), (1.0, 1e200), (5e-324, 1.0)])
     def test_float_shapes_whose_variance_underflows(self, a, b):
         # mu_2 underflows to 0 here, though skewness and kurtosis are finite
-        with mpmath.workdps(40):
-            a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
-            s = a_ + b_
-            skewness = 2 * (b_ - a_) * mpmath.sqrt(s + 1) / ((s + 2) * mpmath.sqrt(a_ * b_))
-            kurtosis = 3 + 6 * ((a_ - b_) ** 2 * (s + 1) - a_ * b_ * (s + 2)) / (
-                a_ * b_ * (s + 2) * (s + 3)
-            )
+        skewness, kurtosis = oracles.skewness_kurtosis(a, b)
         params = BetaParams(a, b)
         assert standardized_moment(params, 3) == pytest.approx(float(skewness), rel=1e-14)
         if math.isinf(float(kurtosis)):  # 2.0e323 at Beta(5e-324, 1)
@@ -284,28 +274,13 @@ KERNEL_SHAPES = {
 KERNEL_TILTS = (30, 100, 1e3, 1e4, 1e5, 2e5)
 
 
-def _mp_cgf(alpha, beta, t):
-    """psi(t), psi'(t), psi''(t) from mpmath's 1F1 at 50 digits.
-
-    With F = 1F1(alpha; s; t), F1 = F' and F2 = F'': psi = log F - t mu,
-    psi' = F1/F - mu and psi'' = F2/F - (F1/F)^2.
-    """
-    with mpmath.workdps(50):
-        a, b, t = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(t)
-        s = a + b
-        f = mpmath.hyp1f1(a, s, t)
-        f1 = a / s * mpmath.hyp1f1(a + 1, s + 1, t)
-        f2 = a * (a + 1) / (s * (s + 1)) * mpmath.hyp1f1(a + 2, s + 2, t)
-        return mpmath.log(f) - t * a / s, f1 / f - a / s, f2 / f - (f1 / f) ** 2
-
-
 class TestCgfKernelOracle:
     @pytest.mark.parametrize("a,b", list(KERNEL_SHAPES))
     def test_matches_mpmath_on_the_1f1_branch(self, a, b):
         tilts = [t for t in KERNEL_TILTS + KERNEL_SHAPES[a, b] if t * t > 16 * (a + b + 1)]
         for t in tilts:
             psi, dpsi, d2psi, _ = _cgf_kernel(float(a), float(b), t)
-            ref, dref, d2ref = _mp_cgf(a, b, t)
+            ref, dref, d2ref = oracles.cgf_derivatives(a, b, t)
             assert abs(psi - ref) <= 2e-15 * t
             assert dpsi == pytest.approx(float(dref), rel=1e-12, abs=0.0)
             assert d2psi == pytest.approx(float(d2ref), rel=1e-9, abs=0.0)
@@ -319,7 +294,7 @@ class TestCgfKernelOracle:
         # and t would lose digits in proportion to it. A tiny alpha walks down
         # to k = 1, where s + k - 1 and a + k - 1 must not round s or a to 2^-52 absolute
         psi, dpsi, d2psi, _ = _cgf_kernel(a, b, t)
-        ref, dref, d2ref = _mp_cgf(a, b, t)
+        ref, dref, d2ref = oracles.cgf_derivatives(a, b, t)
         assert abs(psi - ref) <= 6e-16 * t
         assert dpsi == pytest.approx(float(dref), rel=7e-15, abs=0.0)
         assert d2psi == pytest.approx(float(d2ref), rel=6e-14, abs=0.0)

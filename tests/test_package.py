@@ -4,10 +4,14 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
+import sys
 from pathlib import Path
 
 import betatails
-from betatails import _verify, cli
+from betatails import _verify, bounds, cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_API = [
     "BetaParams",
@@ -100,14 +104,44 @@ def _identifiers(tree: ast.AST) -> set[str]:
 
 
 def test_only_chernoff_holds_the_solve():
-    # one Chernoff path: the warm start and the step budget live in chernoff,
-    # and cli reads the solve through chernoff's public names only
+    # one Chernoff path: the warm start lives in chernoff, and cli reads the solve
+    # through chernoff's public names only. The Newton step budget lives in bounds
+    # beside the loop that reads it, which takes no budget from its callers
     src = Path(betatails.__file__).parent
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
-    solve_names = {"_predict_root", "_SOLVE_STEPS"}
-    users = {name for name, tree in trees.items() if solve_names & _identifiers(tree)}
-    assert users == {"chernoff.py"}
+    owners = {
+        name: {file for file, tree in trees.items() if name in _identifiers(tree)}
+        for name in ("_predict_root", "_NEWTON_STEPS")
+    }
+    assert owners == {"_predict_root": {"chernoff.py"}, "_NEWTON_STEPS": {"bounds.py"}}
+    assert "steps" not in inspect.signature(bounds._bracketed_newton).parameters
     assert _private_reads(trees["cli.py"], "chernoff") == []
+
+
+def _absolute_imports(path: Path) -> set[str]:
+    """The top-level modules a file imports absolutely, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_library_imports_only_the_standard_library():
+    # the library and its CLI run on a bare interpreter; mpmath serves the tests
+    imports = set().union(*map(_absolute_imports, Path(betatails.__file__).parent.glob("*.py")))
+    assert imports - sys.stdlib_module_names <= {"betatails"}
+
+
+def test_each_test_reference_is_stated_once():
+    # the mpmath references live in tests/oracles.py, and the grids' spacings in _verify
+    files = [path for top in ("src", "tests", "scripts") for path in (ROOT / top).rglob("*.py")]
+    importers = [path.name for path in files if "mpmath" in _absolute_imports(path)]
+    assert importers == ["oracles.py"]
+    spacing = re.compile(r"^def _(lin|log)space\b", re.M)
+    assert [p.name for p in files if spacing.search(p.read_text("utf-8"))] == ["_verify.py"]
 
 
 def _private_reads(tree: ast.AST, module: str) -> list[str]:
@@ -136,7 +170,7 @@ def test_closed_form_columns_are_sub_gamma_pairs():
 
 def _harness_function_names() -> list[str]:
     """The "layer.name" entries of perfbench/run.py's TRACED_FUNCTIONS and CLI_FUNCTIONS."""
-    run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    run = ROOT / "perfbench" / "run.py"
     assigned = {
         node.targets[0].id: node.value
         for node in ast.parse(run.read_text(encoding="utf-8")).body
