@@ -10,23 +10,20 @@ as unimprovable. The rows are those of the EXPONENT-EXPANSION check's
 sd-topped ladders (betatails._verify.expansion_ladder), which keep the
 expansion's parameter c eps / v below about 1.4; an absolute ladder
 reaches 14 sd, and c eps / v of 20, at Beta(2, 998). The script exits 1
-if any shape's spread max/min reaches SPREAD_LIMIT.
+if any shape's spread max/min reaches the check's SPREAD_LIMIT.
 """
 
 import math
 import sys
 
-from betatails._verify import SD_LADDER_PAIRS, expansion_ladder
+from betatails._verify import SD_LADDER_PAIRS, SPREAD_LIMIT, expansion_ladder
 from betatails.bounds import sub_gamma_params
 from betatails.moments import BetaParams
-
-PAIRS = SD_LADDER_PAIRS
-SPREAD_LIMIT = 4.0
 
 
 def run() -> int:
     spreads = []
-    for a, b in PAIRS:
+    for a, b in SD_LADDER_PAIRS:
         params = BetaParams(a, b)
         sd = math.sqrt(float(sub_gamma_params(params).v))
         print(f"Beta({a}, {b}), sd = {sd:.6g}")

@@ -120,6 +120,18 @@ def _parse_params(args) -> moments.BetaParams:
     return moments.BetaParams(parse_scalar(args.alpha), parse_scalar(args.beta))
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _logspace(lo: float, hi: float, n: int) -> list[float]:
+    r = math.log(hi / lo)
+    return [lo * math.exp(r * i / (n - 1)) for i in range(n)]
+
+
+MAX_GRID_STEPS = 100_000  # 1,000 times the paper grids; a typo must not exhaust memory
+
+
 def parse_grid(text: str, log_spacing: bool = False) -> list[float]:
     """Deviations of the grid start:stop:steps, evenly or log-evenly spaced."""
     parts = text.split(":")
@@ -134,13 +146,13 @@ def parse_grid(text: str, log_spacing: bool = False) -> list[float]:
         raise ValueError(f"grid stop must exceed start, got {start}:{stop}")
     if steps < 2:
         raise ValueError(f"grid needs at least 2 steps, got {steps}")
+    if steps > MAX_GRID_STEPS:
+        raise ValueError(f"grid has {steps} steps, above the maximum of {MAX_GRID_STEPS}")
     if log_spacing:
         if start <= 0:
             raise ValueError("log-spaced grids need a positive start")
-        r = math.log(stop / start)
-        return [start * math.exp(r * i / (steps - 1)) for i in range(steps)]
-    span = stop - start
-    return [start + span * i / (steps - 1) for i in range(steps)]
+        return _logspace(start, stop, steps)
+    return _linspace(start, stop, steps)
 
 
 def cmd_moments(args) -> int:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betatails import bounds
-from betatails._verify import _linspace
 from betatails.bounds import (
     SubGammaParams,
     TailSide,
@@ -133,13 +132,6 @@ class TestBernsteinTailBound:
         assert bernstein_tail_bound(p, math.inf, side) == 0.0
         assert exact_tail(p, math.inf, side) == 0.0
 
-    def test_symmetric_sides_agree(self):
-        p = BetaParams(5, 5)
-        for eps in _linspace(0.0, 0.4, 9):
-            up = bernstein_tail_bound(p, eps, TailSide.UPPER)
-            lo = bernstein_tail_bound(p, eps, TailSide.LOWER)
-            assert up == lo
-
     def test_right_skew_upper_uses_sub_gamma(self):
         p = BetaParams(2, 98)
         assert bernstein_tail_bound(p, 0.02, TailSide.UPPER) == pytest.approx(
@@ -225,12 +217,6 @@ class TestExactTail:
 
 
 class TestLogRefinement:
-    def test_zero_at_origin(self):
-        assert log_upper_bound(0.0) == 0.0
-
-    def test_value_at_three(self):
-        assert log_upper_bound(3.0) == pytest.approx(0.75, abs=1e-15)
-
     # The refinement sits BELOW log(1+x) for x > 0: the gap
     # f(x) = log(1+x) - x + x^2/(2(1+x/3)) has f'(x) = x^2(x+9)/(2(x+1)(x+3)^2) >= 0
     # and f(0) = 0, so f is non-negative and strictly positive away from 0.
@@ -246,21 +232,10 @@ class TestLogRefinement:
 
 
 class TestSubgaussianProxy:
-    @pytest.mark.parametrize("a", [1, 3, 5])
-    def test_symmetric_case_equals_variance(self, a):
-        p = BetaParams(a, a)
-        v = float(sub_gamma_params(p).v)
-        assert subgaussian_optimal_proxy(p) == pytest.approx(v, rel=1e-6)
-
     def test_always_at_least_variance(self):
         for a, b in [(2, 3), (2, 98), (98, 2), (7, 2)]:
             p = BetaParams(a, b)
             assert subgaussian_optimal_proxy(p) >= float(sub_gamma_params(p).v)
-
-    def test_skewed_case_strictly_exceeds_variance(self):
-        p = BetaParams(2, 98)
-        v = float(sub_gamma_params(p).v)
-        assert subgaussian_optimal_proxy(p) > 1.01 * v
 
     def test_matches_precomputed_supremum_2_98(self):
         # sup_t 2 psi(t)/t^2 located at t ~ 325 by high-precision search

@@ -9,8 +9,8 @@ import oracles
 import pytest
 
 from betatails import chernoff
-from betatails._verify import _logspace
-from betatails.bounds import TailSide, bernstein_params, exact_tail, sub_gamma_params
+from betatails._verify import derivative_ratio_holds
+from betatails.bounds import TailSide, exact_tail, sub_gamma_params
 from betatails.chernoff import (
     ChernoffResult,
     centered_mgf,
@@ -22,7 +22,8 @@ from betatails.chernoff import (
     chernoff_exponent_expansion,
     _predict_root,
 )
-from betatails.moments import BetaParams, central_moments_recursive
+from betatails.cli import _logspace
+from betatails.moments import BetaParams
 from betatails.specfun import ConvergenceError, _cgf_kernel
 
 # Every kernel branch (series, forward pass, walk by single terms and by samples),
@@ -31,17 +32,6 @@ SOLVE_ORACLE_SHAPES = [(2, 98), (2, 998), (5, 5), (2, 3), (98, 2), (0.5, 0.7), (
 # deviations as fractions of the upper support width; every root lies below t = 1e5,
 # where the mpmath oracle's root search stays quick
 SOLVE_ORACLE_FRACTIONS = [1e-3, 1e-2, 0.1, 0.5, 0.9]
-
-
-def _ratio_holds(params, t):
-    """The derivative-ratio inequality at one t in (0, 1/c), as MGF-DERIVATIVE-RATIO
-    states it: phi'/phi = psi'(t) from the CGF kernel is at most v t / (1 - c t)
-    plus 1e-10, (v, c) the Bernstein pair (c = 0 when alpha > beta)."""
-    sg = bernstein_params(params)
-    v, c = float(sg.v), float(sg.c)
-    assert 0.0 < t and c * t < 1.0, t
-    psi_prime = _cgf_kernel(float(params.alpha), float(params.beta), t)[1]
-    return psi_prime <= v * t / (1.0 - c * t) + 1e-10
 
 
 class TestCenteredMgf:
@@ -53,15 +43,6 @@ class TestCenteredMgf:
         # Beta(1,1) centered MGF is e^(-t/2) (e^t - 1)/t
         expected = math.exp(-t / 2) * math.expm1(t) / t
         assert centered_mgf(BetaParams(1, 1), t) == pytest.approx(expected, rel=1e-12)
-
-    def test_matches_truncated_moment_series(self):
-        params = BetaParams(2, 98)
-        table = central_moments_recursive(params, 40)
-        t = 10.0
-        series = 1.0 + math.fsum(
-            float(table.central[d] / math.factorial(d)) * t**d for d in range(2, 41)
-        )
-        assert centered_mgf(params, t) == pytest.approx(series, rel=1e-10)
 
 
 class TestCgf:
@@ -99,7 +80,7 @@ class TestCgf:
         psi = cgf(p, 1.0)
         assert math.isfinite(psi)
         assert psi == pytest.approx(v / 2.0, rel=1e-12)
-        assert _ratio_holds(p, 1.0)
+        assert derivative_ratio_holds(p, 1.0)
 
     def test_centered_series_stops_on_its_tail_bound(self):
         # 2.8 t + 60 terms would be 2.8e9 here; the terms fall like (t^2 / s)^(d/2)
@@ -135,7 +116,7 @@ class TestCgf:
         p = BetaParams(2, 98)
         assert cgf(p, t) == 0.0
         assert centered_mgf(p, t) == 1.0
-        assert _ratio_holds(p, abs(t))
+        assert derivative_ratio_holds(p, abs(t))
 
 
 class TestChernoffExponent:
@@ -442,18 +423,18 @@ class TestChernoffExponentExpansion:
 
 class TestDerivativeRatioCheck:
     def test_tiny_t_holds(self):
-        assert _ratio_holds(BetaParams(2, 98), 1e-6)
+        assert derivative_ratio_holds(BetaParams(2, 98), 1e-6)
 
     def test_half_inverse_scale(self):
         c = float(sub_gamma_params(BetaParams(2, 98)).c)
-        assert _ratio_holds(BetaParams(2, 98), 0.5 / c)
+        assert derivative_ratio_holds(BetaParams(2, 98), 0.5 / c)
 
     @pytest.mark.parametrize("t", [10.0, 250.0, 1e3, 1e4, 1e12])
     def test_left_skew_gaussian_branch(self, t):
         # far past t^2 <= 16 (s+1), where a moment-series sum alternates to
         # -9.4e9 (t = 250) and 1e270 (t = 1e3) and cannot be trusted
         start = time.perf_counter()
-        assert _ratio_holds(BetaParams(98, 2), t)
+        assert derivative_ratio_holds(BetaParams(98, 2), t)
         assert time.perf_counter() - start < 0.1
 
 

@@ -136,12 +136,15 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_each_test_reference_is_stated_once():
-    # the mpmath references live in tests/oracles.py, and the grids' spacings in _verify
+    # the mpmath references live in tests/oracles.py, and the grids' spacings in cli,
+    # whose parse_grid returns them
     files = [path for top in ("src", "tests", "scripts") for path in (ROOT / top).rglob("*.py")]
     importers = [path.name for path in files if "mpmath" in _absolute_imports(path)]
     assert importers == ["oracles.py"]
     spacing = re.compile(r"^def _(lin|log)space\b", re.M)
-    assert [p.name for p in files if spacing.search(p.read_text("utf-8"))] == ["_verify.py"]
+    assert [p.name for p in files if spacing.search(p.read_text("utf-8"))] == ["cli.py"]
+    tree = ast.parse(inspect.getsource(cli.parse_grid))
+    assert {"_linspace", "_logspace"} <= _reads(tree)
 
 
 def _private_reads(tree: ast.AST, module: str) -> list[str]:
@@ -223,7 +226,8 @@ def test_verify_has_one_configuration():
 
 def test_comparison_engine_takes_deviations():
     # the grid is CLI syntax, parsed by cli.parse_grid; the engine and _verify
-    # see only the deviations, and _verify reads nothing else from cli
+    # see only the deviations, and _verify reads only the engine and the grid
+    # spacings from cli, so its paper tables lie on the grids compare writes
     src = Path(betatails.__file__).parent
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
     assert not [name for name, tree in trees.items() if "GridSpec" in _identifiers(tree)]
@@ -234,4 +238,4 @@ def test_comparison_engine_takes_deviations():
         if isinstance(node, ast.ImportFrom) and node.module == "cli"
         for alias in node.names
     ]
-    assert from_cli == ["comparison_rows"]
+    assert from_cli == ["_linspace", "_logspace", "comparison_rows"]
