@@ -23,6 +23,7 @@ from betatails.bounds import (
     subgaussian_optimal_proxy,
     sub_gamma_params,
 )
+from betatails.cli import _linspace
 from betatails.moments import BetaParams
 from betatails.specfun import ConvergenceError
 
@@ -132,6 +133,13 @@ class TestBernsteinTailBound:
         assert bernstein_tail_bound(p, math.inf, side) == 0.0
         assert exact_tail(p, math.inf, side) == 0.0
 
+    def test_symmetric_sides_agree(self):
+        p = BetaParams(5, 5)
+        for eps in _linspace(0.0, 0.4, 9):
+            up = bernstein_tail_bound(p, eps, TailSide.UPPER)
+            lo = bernstein_tail_bound(p, eps, TailSide.LOWER)
+            assert up == lo
+
     def test_right_skew_upper_uses_sub_gamma(self):
         p = BetaParams(2, 98)
         assert bernstein_tail_bound(p, 0.02, TailSide.UPPER) == pytest.approx(
@@ -232,6 +240,12 @@ class TestLogRefinement:
 
 
 class TestSubgaussianProxy:
+    @pytest.mark.parametrize("a", [1, 3, 5])
+    def test_symmetric_case_equals_variance(self, a):
+        p = BetaParams(a, a)
+        v = float(sub_gamma_params(p).v)
+        assert subgaussian_optimal_proxy(p) == pytest.approx(v, rel=1e-6)
+
     def test_always_at_least_variance(self):
         for a, b in [(2, 3), (2, 98), (98, 2), (7, 2)]:
             p = BetaParams(a, b)

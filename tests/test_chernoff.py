@@ -23,7 +23,7 @@ from betatails.chernoff import (
     _predict_root,
 )
 from betatails.cli import _logspace
-from betatails.moments import BetaParams
+from betatails.moments import BetaParams, central_moments_recursive
 from betatails.specfun import ConvergenceError, _cgf_kernel
 
 # Every kernel branch (series, forward pass, walk by single terms and by samples),
@@ -43,6 +43,15 @@ class TestCenteredMgf:
         # Beta(1,1) centered MGF is e^(-t/2) (e^t - 1)/t
         expected = math.exp(-t / 2) * math.expm1(t) / t
         assert centered_mgf(BetaParams(1, 1), t) == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_truncated_moment_series(self):
+        params = BetaParams(2, 98)
+        table = central_moments_recursive(params, 40)
+        t = 10.0
+        series = 1.0 + math.fsum(
+            float(table.central[d] / math.factorial(d)) * t**d for d in range(2, 41)
+        )
+        assert centered_mgf(params, t) == pytest.approx(series, rel=1e-10)
 
 
 class TestCgf:

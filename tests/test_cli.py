@@ -665,10 +665,9 @@ class TestComparisonRowsApi:
         results = chernoff.chernoff_exponents(params, epss)
         assert [row.chernoff for row in rows] == [math.exp(-r.exponent) for r in results]
 
-    def test_three_node_prediction_takes_about_one_evaluation(self, monkeypatch):
-        # every point but eps = 0 is solved: 99 solves a table. The quintic Hermite
-        # prediction through the last three solves meets the stop test in most
-        # cells, so most solves take a single evaluation
+    @staticmethod
+    def _kernel_calls_per_table(monkeypatch):
+        """Kernel evaluations of comparison_rows on each paper table, at 100 deviations."""
         calls = []
         kernel = chernoff._cgf_kernel
 
@@ -680,7 +679,22 @@ class TestComparisonRowsApi:
         for alpha, beta, stop in _verify.PAPER_TABLES:
             calls.append(0)
             comparison_rows(BetaParams(alpha, beta), parse_grid(f"0:{stop}:100"))
-        assert max(calls) <= 1.25 * 99
+        return calls
+
+    # every point but eps = 0 is solved: 99 solves a table
+    def test_warm_start_halves_kernel_evaluations(self, monkeypatch):
+        # from cold first guesses the paper grids took 6.2 evaluations a solve
+        assert max(self._kernel_calls_per_table(monkeypatch)) <= 3.5 * 99
+
+    def test_second_order_prediction_takes_about_two_evaluations(self, monkeypatch):
+        # tangent predictions with a stop on |psi' - eps| took 3.1 a solve; the
+        # Hermite prediction and the stop at the exponent's rounding take about 2
+        assert max(self._kernel_calls_per_table(monkeypatch)) <= 2.1 * 99
+
+    def test_three_node_prediction_takes_about_one_evaluation(self, monkeypatch):
+        # the quintic Hermite prediction through the last three solves meets the
+        # stop test in most cells, so most solves take a single evaluation
+        assert max(self._kernel_calls_per_table(monkeypatch)) <= 1.25 * 99
 
     def test_exact_tail_reads_float_shapes(self, monkeypatch):
         # the exact column is formed from one float BetaParams, not from

@@ -79,6 +79,14 @@ class TestRawMoment:
 
 
 class TestRecursion:
+    def test_variance(self):
+        table = central_moments_recursive(BetaParams(2, 3), 2)
+        assert table.central[2] == Fraction(1, 25)
+
+    def test_third_moment(self):
+        table = central_moments_recursive(BetaParams(2, 3), 3)
+        assert table.central[3] == Fraction(2, 875)
+
     @pytest.mark.parametrize("a", [Fraction(1), Fraction(5), Fraction(7, 2)])
     def test_symmetric_odd_moments_vanish(self, a):
         table = central_moments_recursive(BetaParams(a, a), 15)
@@ -185,6 +193,12 @@ class TestPRecursiveForm:
 class TestStandardizedMoments:
     def test_symmetric_skewness_is_zero(self):
         assert standardized_moment(BetaParams(5, 5), 3) == 0.0
+
+    def test_skewness_2_3(self):
+        assert standardized_moment(BetaParams(2, 3), 3) == pytest.approx(2 / 7, rel=1e-12)
+
+    def test_uniform_kurtosis(self):
+        assert standardized_moment(BetaParams(1, 1), 4) == pytest.approx(9 / 5, rel=1e-12)
 
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):

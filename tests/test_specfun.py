@@ -261,6 +261,16 @@ class TestLogKummer1F1:
     def test_moderately_large_argument(self):
         assert log_kummer_1f1(2.0, 100.0, 500.0) == pytest.approx(249.88445571439744, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [1e6, 1e8, 1e9])
+    def test_shares_the_cgf_term_budget(self, t):
+        # cgf is log 1F1 less t a / c; both sum the series under one step cap
+        assert log_kummer_1f1(2.0, 100.0, t) == cgf(BetaParams(2, 98), t) + t * 2.0 / 100.0
+
+    def test_peak_past_2_53_is_loud(self):
+        # float indices stop moving there; the series would not end
+        with pytest.raises(ConvergenceError, match=r"2\*\*53"):
+            log_kummer_1f1(2.0, 100.0, 1e17)
+
 
 def _forward_pass_points(seed: int, count: int) -> list[tuple[float, float, float]]:
     """Seeded (a, b, t), shapes log-uniform over 1e-3 to 1e4, t log-uniform between
