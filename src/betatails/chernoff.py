@@ -47,9 +47,9 @@ def centered_mgf(params: BetaParams, t: float) -> float:
 def cgf(params: BetaParams, t: float) -> float:
     """psi(t) = log phi(t); zero at t = 0, convex, and non-negative everywhere.
 
-    One kernel call at any finite t, negative t as positive t for 1 - X. A NaN
-    or infinite t raises ValueError; a 1F1 series past the kernel's step cap,
-    or peaking at index 2^53 or past it (|t| from about 9e15), ConvergenceError.
+    One kernel call at any finite t, negative t as positive t for 1 - X. A NaN or
+    infinite t raises ValueError; a 1F1 series past the kernel's step cap, or peaking at
+    index 2^53 or past it (|t| from about 9e15), ConvergenceError, as does a + b >= 2^1020.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")

@@ -207,42 +207,36 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="betatails",
-        description="Exact Beta central moments and sharp Bernstein-type tail bounds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    shape = argparse.ArgumentParser(add_help=False)
-    shape.add_argument("--alpha", required=True, help="shape alpha (decimal or p/q)")
-    shape.add_argument("--beta", required=True, help="shape beta (decimal or p/q)")
+# the one parser, built at import: main parses every argv with it
+_PARSER = argparse.ArgumentParser(
+    prog="betatails",
+    description="Exact Beta central moments and sharp Bernstein-type tail bounds.",
+)
+_sub = _PARSER.add_subparsers(dest="command", required=True)
+_shape = argparse.ArgumentParser(add_help=False)
+_shape.add_argument("--alpha", required=True, help="shape alpha (decimal or p/q)")
+_shape.add_argument("--beta", required=True, help="shape beta (decimal or p/q)")
 
-    p_moments = sub.add_parser("moments", parents=[shape], help="print exact central moments")
-    p_moments.add_argument("--dmax", type=int, required=True, help="largest moment order")
-    p_moments.set_defaults(func=cmd_moments)
+_p = _sub.add_parser("moments", parents=[_shape], help="print exact central moments")
+_p.add_argument("--dmax", type=int, required=True, help="largest moment order")
+_p.set_defaults(func=cmd_moments)
 
-    p_bound = sub.add_parser(
-        "bound", parents=[shape], help="evaluate the Bernstein-type tail bound"
-    )
-    p_bound.add_argument("--eps", type=float, required=True, help="deviation from the mean")
-    p_bound.add_argument("--side", choices=["upper", "lower"], required=True)
-    p_bound.set_defaults(func=cmd_bound)
+_p = _sub.add_parser("bound", parents=[_shape], help="evaluate the Bernstein-type tail bound")
+_p.add_argument("--eps", type=float, required=True, help="deviation from the mean")
+_p.add_argument("--side", choices=["upper", "lower"], required=True)
+_p.set_defaults(func=cmd_bound)
 
-    p_compare = sub.add_parser("compare", parents=[shape], help="write a bound-comparison CSV")
-    p_compare.add_argument("--grid", required=True, help="deviation grid start:stop:steps")
-    p_compare.add_argument("--out", required=True, help="output CSV path")
-    p_compare.add_argument("--log-grid", action="store_true", help="log-spaced grid")
-    p_compare.set_defaults(func=cmd_compare)
+_p = _sub.add_parser("compare", parents=[_shape], help="write a bound-comparison CSV")
+_p.add_argument("--grid", required=True, help="deviation grid start:stop:steps")
+_p.add_argument("--out", required=True, help="output CSV path")
+_p.add_argument("--log-grid", action="store_true", help="log-spaced grid")
+_p.set_defaults(func=cmd_compare)
 
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.set_defaults(func=cmd_verify)
-
-    return parser
+_sub.add_parser("verify", help="run the invariant suite").set_defaults(func=cmd_verify)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -37,8 +37,8 @@ MAX_MOMENT_ORDER = 10_000
 class BetaParams:
     """Shape pair (alpha, beta) of a Beta distribution.
 
-    Carry Fractions (or ints) for the exact path; floats select the
-    double-precision path and forfeit the exact-equality guarantees.
+    Carry Fractions (or ints) for the exact path; floats select the double-precision
+    path, forfeit the exact-equality guarantees and must sum within the double range.
     """
 
     alpha: Scalar
@@ -53,6 +53,8 @@ class BetaParams:
             raise ValueError(
                 f"shape parameters must be positive and finite, got {self.alpha}, {self.beta}"
             )
+        if type(self.alpha) is type(self.beta) is float and not self.alpha + self.beta < math.inf:
+            raise ValueError(f"float shapes sum past the largest double: {self.alpha}, {self.beta}")
 
     @property
     def is_exact(self) -> bool:

@@ -30,10 +30,13 @@ _MAX_STEPS = 2**20
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0 (the C library's lgamma)."""
-    if x <= 0.0:
+    """log Gamma(x) for x > 0 (the C library's lgamma); ValueError past the largest double."""
+    if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise ValueError(f"log_gamma({x}) passes the largest double") from None
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
@@ -80,7 +83,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     A continued fraction in its fast regime, on (b, a, 1 - x) through I_x(a,b) =
     1 - I_{1-x}(b,a) from x = (a+1)/(a+b+2) on; clamped to [0, 1], where I lies, as
     a shape below 1e-3 can read 2e-13 past an end. Raises ConvergenceError rather
-    than a silently inaccurate value, and ValueError for a shape not positive and finite.
+    than a silently inaccurate value, and ValueError for a shape not positive and finite
+    or a + b from 2.56e305 on, where the prefactor's log-gamma passes the double range.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # nan fails too
         raise ValueError(f"shape parameters must be positive and finite, got a={a}, b={b}")
@@ -232,6 +236,8 @@ def _cgf_kernel(a: float, b: float, t: float) -> tuple[float, float, float, floa
         psi, dpsi, d2psi, g = _cgf_kernel(b, a, -t)
         return psi, -dpsi, d2psi, g
     s = a + b
+    if not 16.0 * (s + 1.0) < math.inf:  # else every tilt passes the series test below
+        raise ConvergenceError(f"the Beta({a}, {b}) CGF needs a + b below 2**1020")
     if t < 2.0**-200:
         # t * t in the series would underflow: the leading order (g cancels at it), as
         # |k1| <= t and k2 <= t^2 / 4 leave every later term under 2^-200 of v t^2 / 2

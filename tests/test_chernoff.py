@@ -10,7 +10,7 @@ import pytest
 
 from betatails import chernoff
 from betatails._verify import derivative_ratio_holds
-from betatails.bounds import TailSide, exact_tail, sub_gamma_params
+from betatails.bounds import TailSide, exact_tail, sub_gamma_params, subgaussian_optimal_proxy
 from betatails.chernoff import (
     ChernoffResult,
     centered_mgf,
@@ -23,8 +23,8 @@ from betatails.chernoff import (
     _predict_root,
 )
 from betatails.cli import _logspace
-from betatails.moments import BetaParams, central_moments_recursive
-from betatails.specfun import ConvergenceError, _cgf_kernel
+from betatails.moments import BetaParams, raw_moment
+from betatails.specfun import ConvergenceError, _cgf_kernel, log_kummer_1f1
 
 # Every kernel branch (series, forward pass, walk by single terms and by samples),
 # and alpha > beta on the upper side (the gaussian branch).
@@ -43,15 +43,6 @@ class TestCenteredMgf:
         # Beta(1,1) centered MGF is e^(-t/2) (e^t - 1)/t
         expected = math.exp(-t / 2) * math.expm1(t) / t
         assert centered_mgf(BetaParams(1, 1), t) == pytest.approx(expected, rel=1e-12)
-
-    def test_matches_truncated_moment_series(self):
-        params = BetaParams(2, 98)
-        table = central_moments_recursive(params, 40)
-        t = 10.0
-        series = 1.0 + math.fsum(
-            float(table.central[d] / math.factorial(d)) * t**d for d in range(2, 41)
-        )
-        assert centered_mgf(params, t) == pytest.approx(series, rel=1e-10)
 
 
 class TestCgf:
@@ -126,6 +117,40 @@ class TestCgf:
         assert cgf(p, t) == 0.0
         assert centered_mgf(p, t) == 1.0
         assert derivative_ratio_holds(p, abs(t))
+
+
+# Near the top of the double range: the first six hung (16 (s+1) overflowed from
+# a + b = 2^1020 on, so every tilt went to the centered series, which summed inf
+# and nan terms), the next six returned 0.0, 0.0, 0.0, 1.0, 0.0 and 1.0, and the
+# exact tail at Beta(1e306, 1e306) raised OverflowError from math.lgamma
+HUGE_SHAPE_CALLS = {
+    "cgf(1e308,1e307,t=1e200)": lambda: cgf(BetaParams(1e308, 1e307), 1e200),
+    "cgf(2e307,2e307,t=1e160)": lambda: cgf(BetaParams(2e307, 2e307), 1e160),
+    "chernoff(1e308,1e307)": lambda: chernoff_exponent_numeric(
+        BetaParams(1e308, 1e307), 0.01, TailSide.UPPER),
+    "chernoff(1e307,1e308)": lambda: chernoff_exponent_numeric(
+        BetaParams(1e307, 1e308), 0.01, TailSide.UPPER),
+    "log_kummer_1f1(1e308,1.5e308,1e200)": lambda: log_kummer_1f1(1e308, 1.5e308, 1e200),
+    "proxy(1e308,5e307)": lambda: subgaussian_optimal_proxy(BetaParams(1e308, 5e307)),
+    "cgf(1e308,1e307,t=1e150)": lambda: cgf(BetaParams(1e308, 1e307), 1e150),
+    "mean(1e308,1e308)": lambda: BetaParams(1e308, 1e308).mean(),
+    "raw_moment(1e308,1e308,3)": lambda: raw_moment(BetaParams(1e308, 1e308), 3),
+    "exact_tail(1e308,1e308,upper)": lambda: exact_tail(
+        BetaParams(1e308, 1e308), 0.0, TailSide.UPPER),
+    "exact_tail(1e308,1e308,lower)": lambda: exact_tail(
+        BetaParams(1e308, 1e308), 0.0, TailSide.LOWER),
+    "centered_mgf(1e308,1e308,t=1e200)": lambda: centered_mgf(BetaParams(1e308, 1e308), 1e200),
+    "exact_tail(1e306,1e306,upper)": lambda: exact_tail(
+        BetaParams(1e306, 1e306), 0.0, TailSide.UPPER),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_SHAPE_CALLS.values(), ids=HUGE_SHAPE_CALLS.keys())
+def test_huge_shapes_raise_a_typed_error_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises((ValueError, ConvergenceError)):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 class TestChernoffExponent:

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
+import argparse
 import hashlib
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from betatails import _verify, bounds, chernoff, moments
+from betatails import _verify, bounds, chernoff, cli, moments
 from betatails.cli import (
     CSV_HEADER,
     MAX_GRID_STEPS,
@@ -408,6 +412,17 @@ class TestCompareCommand:
         a = Fraction(huge)
         assert row2[:2] == ["2", str(2 * a / ((a + 2) ** 2 * (a + 3)))]
 
+    def test_shape_past_the_log_gamma_range_exits_2(self, tmp_path, capsys):
+        # the exact column's log_gamma(2e306) ended in an uncaught OverflowError, exit 1
+        start = time.perf_counter()
+        rc = main(["compare", "--alpha", "1e306", "--beta", "1e306",
+                   "--grid", "0:1e-155:3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == "argument error: log_gamma(2e+306) passes the largest double\n", err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rational_literals_accepted(self, tmp_path):
         out = tmp_path / "rat.csv"
         assert main(["compare", "--alpha", "1/2", "--beta", "1/2",
@@ -730,3 +745,59 @@ class TestComparisonRowsApi:
             comparison_rows(BetaParams(2, 98), parse_grid(f"0:0.05:{steps}"))
             counts.append(calls)
         assert counts[0] == counts[1]
+
+
+# one of each subcommand, its failures and its help, ordered so that a flag or
+# default left over from one call would show in the next
+ONE_PARSER_COMMANDS = [
+    ["moments", "--alpha", "2", "--beta", "98", "--dmax", "4"],
+    ["moments", "--alpha", "1/2", "--beta", "3/2", "--dmax", "4"],
+    ["bound", "--alpha", "2", "--beta", "98", "--eps", "0.05", "--side", "upper"],
+    ["bound", "--alpha", "2", "--beta", "98", "--eps", "0.01", "--side", "lower"],
+    ["compare", "--alpha", "2", "--beta", "998", "--grid", "0.0005:0.005:6", "--log-grid",
+     "--out", "OUT"],
+    ["compare", "--alpha", "2", "--beta", "98", "--grid", "0:0.05:11", "--out", "OUT"],
+    ["verify"],
+    ["verify", "quick"],
+    ["bound", "--alpha", "2", "--eps", "0.1", "--side", "upper"],
+    ["compare", "--alpha", "2", "--beta", "98", "--grid", "0:0.05", "--out", "OUT"],
+    ["tabulate", "--alpha", "2"],
+    [],
+    ["--help"],
+    ["compare", "--help"],
+]
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, monkeypatch, capsys):
+    # each command runs first in a fresh interpreter, then through this process's main;
+    # stdout, stderr, the exit code and the CSV bytes must agree, and main builds no parser
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    script = "import sys; from betatails.cli import main; sys.exit(main(sys.argv[1:]))"
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    out = tmp_path / "table.csv"
+    for argv in ONE_PARSER_COMMANDS:
+        argv = [str(out) if arg == "OUT" else arg for arg in argv]
+        fresh = subprocess.run([sys.executable, "-c", script, *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        fresh_csv = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+        captured = capsys.readouterr()
+        here_csv = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        assert (code, captured.out, captured.err, here_csv) == (
+            fresh.returncode, fresh.stdout, fresh.stderr, fresh_csv), argv
+    assert built == []

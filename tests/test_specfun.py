@@ -34,10 +34,18 @@ class TestLogGamma:
     def test_half(self):
         assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.nan])
     def test_domain_error(self, x):
-        with pytest.raises(ValueError):
+        # nan passed the old guard x <= 0.0 and returned nan
+        with pytest.raises(ValueError, match="requires x > 0"):
             log_gamma(x)
+
+    @pytest.mark.parametrize("x", [2.56e305, 1e306, 1e308])
+    def test_past_the_double_range_is_a_value_error(self, x):
+        # math.lgamma raises OverflowError from x = 2.5599833278516387e305 on
+        with pytest.raises(ValueError, match="passes the largest double"):
+            log_gamma(x)
+        assert log_gamma(2.5599833278516383e305) < math.inf
 
     def test_matches_stdlib_over_wide_range(self):
         # relative error budget 1e-13 on [1e-3, 1e6]
@@ -78,6 +86,11 @@ class TestRegularizedIncompleteBeta:
         # rejected before the first continued-fraction step, as BetaParams does
         with pytest.raises(ValueError, match="finite"):
             regularized_incomplete_beta(a, b, 0.5)
+
+    def test_log_gamma_past_the_double_range_is_a_value_error(self):
+        # the prefactor's log_gamma(a + b) raised OverflowError from a + b = 2.56e305 on
+        with pytest.raises(ValueError, match="passes the largest double"):
+            regularized_incomplete_beta(1e306, 1e306, 0.5)
 
     def test_convergence_failure_is_loud(self):
         # next to the crossover the fraction's step count grows with the shapes:
