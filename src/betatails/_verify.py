@@ -388,7 +388,7 @@ def derivative_ratio_holds(params: moments.BetaParams, t: float) -> bool:
     Bernstein pair (c = 0 when alpha > beta); psi' is read from the CGF kernel."""
     sg = bounds.bernstein_params(params)
     v, c = float(sg.v), float(sg.c)
-    psi_prime = specfun._cgf_kernel(float(params.alpha), float(params.beta), t)[1]
+    psi_prime = specfun._cgf_kernel(*params.doubles(), t)[1]
     return 0.0 < t and c * t < 1.0 and psi_prime <= v * t / (1.0 - c * t) + 1e-10
 
 

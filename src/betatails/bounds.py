@@ -111,7 +111,7 @@ def exact_tail(params: BetaParams, eps: float, side: TailSide) -> float:
     """
     if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
-    a, b = float(params.alpha), float(params.beta)
+    a, b = params.doubles()
     mu = a / (a + b)
     x = mu - eps
     if side is TailSide.UPPER:
@@ -165,14 +165,14 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
         return v
     if params.alpha > params.beta:
         params = params.swapped()
-    a, b = float(params.alpha), float(params.beta)
+    a, b = params.doubles()
 
     def evaluate(t):
         psi, dpsi, d2psi, g = _cgf_kernel(a, b, t)
         slope = t * d2psi - dpsi  # g', negative near the root
         return 2.0 * psi / (t * t), g, slope, g * g <= 2.0**-52 * -slope * t * psi
 
-    limit = 1e3 * (float(params.total) + 1.0)
+    limit = 1e3 * (a + b + 1.0)
     best, _, step, bracket = _bracketed_newton(
         evaluate, v, 4.0 * math.sqrt(a + b + 1.0), 0.5, limit, "sub-gaussian proxy", params
     )
@@ -181,7 +181,7 @@ def subgaussian_optimal_proxy(params: BetaParams) -> float:
             f"sub-gaussian proxy root not found for {params} in {_NEWTON_STEPS} steps: "
             f"{list(bracket)}"
         )
-    elder = 1.0 / (4.0 * (float(params.total) + 1.0))
+    elder = 1.0 / (4.0 * (a + b + 1.0))
     if not best <= elder * (1.0 + 1e-9):
         raise ConvergenceError(
             f"sub-gaussian proxy {best} exceeds Elder's bound {elder} after {step} steps"

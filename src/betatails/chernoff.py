@@ -53,7 +53,7 @@ def cgf(params: BetaParams, t: float) -> float:
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    return _cgf_kernel(float(params.alpha), float(params.beta), t)[0]
+    return _cgf_kernel(*params.doubles(), t)[0]
 
 
 def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) -> ChernoffResult:
@@ -68,7 +68,7 @@ def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) ->
     """
     if side is TailSide.LOWER:
         return chernoff_exponent_numeric(params.swapped(), eps, TailSide.UPPER)
-    a, b = float(params.alpha), float(params.beta)
+    a, b = params.doubles()
     width = 1.0 - a / (a + b)
     if not 0.0 < eps < width:
         raise ValueError(f"eps must lie strictly inside (0, {width}) for the upper tail, got {eps}")
@@ -103,7 +103,7 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
     last t that gave it, so a root whose exponent underflows to 0 still reports
     its tilt.
     """
-    a, b = float(params.alpha), float(params.beta)
+    a, b = params.doubles()
     width = 1.0 - a / (a + b)
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
@@ -180,13 +180,16 @@ def chernoff_exponent_expansion(params: BetaParams, eps: float) -> float:
     """Leading terms of the optimal exponent: eps^2/(2v) (1 - c eps/(3v)).
 
     psi*(eps) matches this to O(eps^4) as eps -> 0, which certifies (v, c) as
-    the best possible pair. A value past the largest double raises OverflowError.
+    the best possible pair. It is 0.0 at eps = 0; a value past the largest
+    double raises OverflowError, as does any eps > 0 where v underflows to 0.0.
     """
     if not 0.0 <= eps < math.inf:  # rejects nan too
         raise ValueError(f"eps must be non-negative and finite, got {eps}")
+    if eps == 0.0:
+        return 0.0
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
-    value = eps * eps / (2.0 * v) * (1.0 - c * eps / (3.0 * v))
+    value = eps * eps / (2.0 * v) * (1.0 - c * eps / (3.0 * v)) if v > 0.0 else math.inf
     if not math.isfinite(value):
         raise OverflowError(f"expansion at eps={eps} of {params} exceeds the largest double")
     return value

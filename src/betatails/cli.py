@@ -47,19 +47,16 @@ CSV_HEADER = ",".join(ComparisonRow._fields)
 def comparison_rows(params: moments.BetaParams, epss: list[float]) -> list[ComparisonRow]:
     """Upper-tail comparison rows, one per deviation of epss in order, soundness-checked.
 
-    The shape as a float BetaParams (the exact tail reads floats anyway) and
-    the two closed-form columns' (v, c) pairs, the Bernstein pair and
-    (proxy, 0), are formed once per call; bounds.sub_gamma_bound reads both.
-    The Chernoff column is exp(-psi*(eps)) from one chernoff.chernoff_exponents
-    sweep of epss, so a NaN or negative deviation raises ValueError. An
-    unconverged solve still yields a valid bound, since every evaluated t gives
-    one, and each such point is reported on stderr. An exact shape past the
-    largest double raises ValueError.
+    The shape as a float BetaParams from params.doubles() (the exact tail reads
+    floats anyway) and the two closed-form columns' (v, c) pairs, the Bernstein
+    pair and (proxy, 0), are formed once per call; bounds.sub_gamma_bound reads
+    both. The Chernoff column is exp(-psi*(eps)) from one
+    chernoff.chernoff_exponents sweep of epss, so a NaN or negative deviation
+    raises ValueError. An unconverged solve still yields a valid bound, since
+    every evaluated t gives one, and each such point is reported on stderr. An
+    exact shape past the largest double raises ValueError from doubles().
     """
-    try:
-        shape = moments.BetaParams(float(params.alpha), float(params.beta))
-    except OverflowError:
-        raise ValueError("a shape passes the largest double; the columns need doubles") from None
+    shape = moments.BetaParams(*params.doubles())
     bern_sg = bounds.bernstein_params(params)
     subg_sg = bounds.SubGammaParams(v=bounds.subgaussian_optimal_proxy(params), c=0)
     rows = []

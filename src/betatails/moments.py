@@ -21,6 +21,7 @@ cross-validation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +39,9 @@ class BetaParams:
     """Shape pair (alpha, beta) of a Beta distribution.
 
     Carry Fractions (or ints) for the exact path; floats select the double-precision
-    path, forfeit the exact-equality guarantees and must sum within the double range.
+    path and forfeit the exact-equality guarantees. doubles() forms every double a
+    numeric path reads; a pair with a float in it, an exact shape beside a float
+    included, is checked when built, and an exact pair is unbounded on the exact path.
     """
 
     alpha: Scalar
@@ -53,8 +56,8 @@ class BetaParams:
             raise ValueError(
                 f"shape parameters must be positive and finite, got {self.alpha}, {self.beta}"
             )
-        if type(self.alpha) is type(self.beta) is float and not self.alpha + self.beta < math.inf:
-            raise ValueError(f"float shapes sum past the largest double: {self.alpha}, {self.beta}")
+        if not self.is_exact:
+            self.doubles()
 
     @property
     def is_exact(self) -> bool:
@@ -63,6 +66,16 @@ class BetaParams:
     @property
     def total(self) -> Scalar:
         return self.alpha + self.beta
+
+    def doubles(self) -> tuple[float, float]:
+        """(alpha, beta) as doubles; ValueError if a shape or their sum passes the double range."""
+        try:
+            a, b = float(self.alpha), float(self.beta)
+        except OverflowError:  # a Fraction past the double range
+            a = b = math.inf
+        if not a + b < math.inf:
+            raise ValueError("shapes sum past the largest double; the numeric paths need doubles")
+        return a, b
 
     def mean(self) -> Scalar:
         return self.alpha / self.total
@@ -175,7 +188,8 @@ def central_moment_hypergeom_oracle(params: BetaParams, d: int) -> Fraction:
 def standardized_moment(params: BetaParams, d: int) -> float:
     """mu_d / mu_2^(d/2) as a double (skewness at d=3, kurtosis at d=4, ...).
 
-    Exact shapes divide as Fractions, then by one float sqrt(mu_2) for odd d.
+    Exact shapes divide as Fractions, then by one float sqrt(mu_2) for odd d,
+    taken after an exact power-of-4 scaling where mu_2 is below the normal doubles.
     Float shapes run the recurrence loop on z_k = mu_k / mu_2^(k/2) itself,
     which stays in range wherever z_d does, as at Beta(1, 1), d = 1100, where
     mu_d underflows; against exact values it is within 2e-14 relative up to
@@ -185,13 +199,17 @@ def standardized_moment(params: BetaParams, d: int) -> float:
         raise ValueError(f"standardized moments need d >= 2, got {d}")
     if params.is_exact:
         central = central_moments_recursive(params, d).central
-        value = float(central[d] / central[2] ** (d // 2))  # OverflowError past the range
+        mu2, scale = central[2], 1
+        if d % 2 and float(mu2) < sys.float_info.min:  # sqrt(mu_2) = sqrt(4^k mu_2) / 2^k
+            scale = 2 ** ((mu2.denominator.bit_length() - mu2.numerator.bit_length()) // 2)
+        value = float(central[d] / mu2 ** (d // 2) * scale)  # OverflowError past the range
         if d % 2:
-            value /= math.sqrt(central[2])
+            value /= math.sqrt(mu2 * scale * scale)
     else:
         # z_k = mu_k / mu_2^(k/2) runs the same loop with k2 / mu_2 = s + 1 and
         # k1 / sqrt(mu_2), formed without mu_2 = (a/s)(b/s)/(s+1), which underflows
-        a, b, s = float(params.alpha), float(params.beta), float(params.total)
+        a, b = params.doubles()
+        s = a + b
         k1 = (b - a) / math.sqrt(a) / math.sqrt(b) * math.sqrt(s + 1.0)
         value = _recurrence(1.0, k1, s + 1.0, s, d)[d]
     if not math.isfinite(value):

@@ -10,7 +10,13 @@ import pytest
 
 from betatails import chernoff
 from betatails._verify import derivative_ratio_holds
-from betatails.bounds import TailSide, exact_tail, sub_gamma_params, subgaussian_optimal_proxy
+from betatails.bounds import (
+    TailSide,
+    exact_tail,
+    sub_gamma_params,
+    subgaussian_bound,
+    subgaussian_optimal_proxy,
+)
 from betatails.chernoff import (
     ChernoffResult,
     centered_mgf,
@@ -142,6 +148,18 @@ HUGE_SHAPE_CALLS = {
     "centered_mgf(1e308,1e308,t=1e200)": lambda: centered_mgf(BetaParams(1e308, 1e308), 1e200),
     "exact_tail(1e306,1e306,upper)": lambda: exact_tail(
         BetaParams(1e306, 1e306), 0.0, TailSide.UPPER),
+    # a float beside an exact shape: the pair's doubles sum to inf, or one is past the range
+    "BetaParams(1e308,10^308)": lambda: BetaParams(1e308, Fraction(10**308)),
+    "BetaParams(10^400,0.5)": lambda: BetaParams(Fraction(10**400), 0.5),
+    # an exact shape past the double range on the numeric paths (an OverflowError from
+    # Fraction.__float__ before)
+    "cgf(2,10^400)": lambda: cgf(BetaParams(2, 10**400), 1.0),
+    "centered_mgf(2,10^400)": lambda: centered_mgf(BetaParams(2, 10**400), 1.0),
+    "chernoff(2,10^400)": lambda: chernoff_exponent_numeric(
+        BetaParams(2, 10**400), 1e-3, TailSide.UPPER),
+    "exact_tail(2,10^400)": lambda: exact_tail(BetaParams(2, 10**400), 0.0, TailSide.UPPER),
+    "proxy(2,10^400)": lambda: subgaussian_optimal_proxy(BetaParams(2, 10**400)),
+    "subgaussian_bound(2,10^400)": lambda: subgaussian_bound(BetaParams(2, 10**400), 0.1),
 }
 
 
@@ -440,10 +458,13 @@ class TestChernoffExponentExpansion:
             float(expected), rel=1e-12
         )
 
-    @pytest.mark.parametrize("a,b", [(1e300, 1e300), (1e-300, 1.0)])
+    @pytest.mark.parametrize(
+        "a,b", [(1e300, 1e300), (1e-300, 1.0), pytest.param(2, 10**200, id="2-10^200")]
+    )
     def test_variance_whose_square_underflows(self, a, b):
-        # v * v underflows to 0 at both shapes; the polynomial in exact rationals
-        # is 4.0e294 at the first and -4.4e590, past the double range, at the second
+        # v * v underflows to 0 at the first two shapes and v itself at the third; the
+        # polynomial in exact rationals is 4.0e294 at the first, past the double range at
+        # the others (-4.4e590 and -8.3e589)
         sg = sub_gamma_params(BetaParams(Fraction(a), Fraction(b)))
         eps = Fraction(1e-3)
         expected = eps**2 / (2 * sg.v) - sg.c * eps**3 / (6 * sg.v**2)
@@ -453,6 +474,7 @@ class TestChernoffExponentExpansion:
         else:
             with pytest.raises(OverflowError):
                 chernoff_exponent_expansion(BetaParams(a, b), 1e-3)
+        assert chernoff_exponent_expansion(BetaParams(a, b), 0.0) == 0.0
 
 
 class TestDerivativeRatioCheck:
