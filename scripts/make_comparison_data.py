@@ -5,7 +5,8 @@ Writes the tables of betatails._verify.PAPER_TABLES, beta_2_98.csv
 (deviations 0..0.05) and beta_2_998.csv (0..0.005),
 each with columns epsilon,exact,bernstein,subgaussian,chernoff. Output is
 byte-for-byte reproducible, and the sha256 of each CSV is printed after it
-is written: these are the digests tests/test_cli.py pins for the two tables.
+is written: these are the digests the table PINS in tests/test_pinned_bits.py
+holds for the two tables.
 Plot with any CSV-aware tool, e.g.:
 
     python scripts/make_comparison_data.py results/

@@ -48,10 +48,15 @@ def sub_gamma_params(params: BetaParams) -> SubGammaParams:
 
     v = mu_2 and c = mu_3 / mu_2 are the moment recurrence's first two steps
     in its scaled form, with no product of two shapes, so huge and tiny
-    float shapes stay in range.
+    float shapes stay in range. A float v that underflows to 0.0 is formed
+    again from the doubles' exact values, as the exact pair of them forms it.
     """
     a, b, s = params.alpha, params.beta, params.total
     v = (a / s) * (b / s) / (s + 1)
+    if v == 0:
+        a, b = Fraction(a), Fraction(b)
+        s = a + b
+        v = (a / s) * (b / s) / (s + 1)
     c = 2 * ((b - a) / s) / (s + 2)
     return SubGammaParams(v=v, c=c)
 

@@ -10,6 +10,11 @@ from mpmath import mpf
 DPS = 50
 
 
+def log_gamma(x):
+    with mpmath.workdps(DPS):
+        return mpmath.loggamma(x)
+
+
 def hyp1f1(a, c, t):
     with mpmath.workdps(DPS):
         return mpmath.hyp1f1(a, c, t, maxterms=10**6)

@@ -136,11 +136,15 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_each_test_reference_is_stated_once():
-    # the mpmath references live in tests/oracles.py, and the grids' spacings in cli,
-    # whose parse_grid returns them
+    # the mpmath references live in tests/oracles.py, the pinned bits of library output
+    # (sha256 digests and float.hex literals) in tests/test_pinned_bits.py, and the
+    # grids' spacings in cli, whose parse_grid returns them
     files = [path for top in ("src", "tests", "scripts") for path in (ROOT / top).rglob("*.py")]
     importers = [path.name for path in files if "mpmath" in _absolute_imports(path)]
     assert importers == ["oracles.py"]
+    pin = re.compile(r"\b[0-9a-f]{64}\b|0x[0-9a-f]+(\.[0-9a-f]*)?p[-+]?[0-9]+")
+    tests = sorted((ROOT / "tests").rglob("*.py"))
+    assert [p.name for p in tests if pin.search(p.read_text("utf-8"))] == ["test_pinned_bits.py"]
     spacing = re.compile(r"^def _(lin|log)space\b", re.M)
     assert [p.name for p in files if spacing.search(p.read_text("utf-8"))] == ["cli.py"]
     tree = ast.parse(inspect.getsource(cli.parse_grid))

@@ -1,6 +1,5 @@
 """Unit and property tests for the special-function kernels."""
 
-import hashlib
 import math
 import random
 import time
@@ -47,13 +46,12 @@ class TestLogGamma:
             log_gamma(x)
         assert log_gamma(2.5599833278516383e305) < math.inf
 
-    def test_matches_stdlib_over_wide_range(self):
+    def test_matches_mpmath_over_wide_range(self):
         # relative error budget 1e-13 on [1e-3, 1e6]
         for i in range(200):
             x = 10.0 ** (-3.0 + 9.0 * i / 199)
-            mine = log_gamma(x)
-            ref = math.lgamma(x)
-            assert abs(mine - ref) <= 1e-13 * max(1.0, abs(ref))
+            ref = float(oracles.log_gamma(x))
+            assert abs(log_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref)), x
 
 
 class TestRegularizedIncompleteBeta:
@@ -142,26 +140,6 @@ class TestRegularizedIncompleteBeta:
         failure = _verify.check_ibeta_symmetry()
         assert failure is not None and "e-09 across x_c" in failure, failure
 
-    def test_seeded_survey_keeps_its_bits(self):
-        # sha256 of the float.hex of every value (the error's type where a call
-        # raises) at a uniform x, an x about the mean and the crossover x, for
-        # 700 shapes log-uniform in [1e-3, 1e7]; a change that moves any value
-        # must say so in CHANGES.md and record the new digest here
-        rng = random.Random(27)
-        lines = []
-        for _ in range(700):
-            a, b = (10.0 ** rng.uniform(-3.0, 7.0) for _ in range(2))
-            s = a + b
-            sd = math.sqrt((a / s) * (b / s) / (s + 1.0))
-            near = min(max(a / s + sd * rng.gauss(0.0, 1.0), 0.0), 1.0)
-            for x in (rng.random(), near, (a + 1.0) / (a + b + 2.0)):
-                try:
-                    lines.append(regularized_incomplete_beta(a, b, x).hex())
-                except (ConvergenceError, ValueError, OverflowError) as exc:
-                    lines.append(type(exc).__name__)
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "80ee68ed31589d5d12ad827996d9c73fda35ddd74a7b416a606aa10a1219875f"
-
 
 def kummer_1f1(a: float, c: float, t: float) -> float:
     """1F1(a; c; t) formed from its logarithm, as the library's callers form it."""
@@ -248,15 +226,6 @@ class TestKummer1F1:
             specfun._cgf_kernel(a, b, t)
         assert time.perf_counter() - start < 5.0
 
-    def test_step_cap_leaves_a_wide_forward_pass_its_bits(self):
-        # k0 = 0 at t = alpha + beta = 1e10: the bell spans about 9 sqrt(1e10) terms,
-        # under the 2^20 cap; (1, 1e11, 1e11) needs more and raises
-        got = specfun._cgf_kernel(1.0, 1e10, 1e10)
-        assert [x.hex() for x in got] == [
-            "0x1.57a397078237fp+3", "0x1.0bb8b87a397dcp-17",
-            "0x1.3fa0eb3320911p-35", "0x1.3795c4350f3afp+16",
-        ]
-
     @pytest.mark.parametrize("t", [-20.0, -12.0, -4.0, -1.0, 1.0, 4.0, 12.0, 20.0])
     def test_beta_mgf_against_live_quadrature(self, t):
         # 1F1(a; a+b; t) is the Beta(a, b) MGF; compare at 10x the kernel tolerance
@@ -283,32 +252,6 @@ class TestLogKummer1F1:
         # float indices stop moving there; the series would not end
         with pytest.raises(ConvergenceError, match=r"2\*\*53"):
             log_kummer_1f1(2.0, 100.0, 1e17)
-
-
-def _forward_pass_points(seed: int, count: int) -> list[tuple[float, float, float]]:
-    """Seeded (a, b, t), shapes log-uniform over 1e-3 to 1e4, t log-uniform between
-    the centered series' edge 4 sqrt(s+1) and (10 s + 90) / (a + 9), kept where the
-    1F1 series peaks below k0 = 10: the inputs the kernel's forward pass serves."""
-    rng = random.Random(seed)
-    points = []
-    while len(points) < count:
-        a, b = 10 ** rng.uniform(-3, 4), 10 ** rng.uniform(-3, 4)
-        s = a + b
-        lo, hi = 4 * math.sqrt(s + 1), (10 * s + 90) / (a + 9)
-        if hi <= lo * 1.0001:
-            continue
-        t = lo * (hi / lo) ** rng.random()
-        p = t + 1 - s
-        disc = p * p + 4 * (a - 1) * t
-        if disc < 0:
-            root = 0.0
-        elif p >= 0:
-            root = 0.5 * (p + math.sqrt(disc))
-        else:
-            root = 2 * (a - 1) * t / (math.sqrt(disc) - p)
-        if max(0, math.floor(root)) < 10 and t * t > 16 * (s + 1):
-            points.append((a, b, t))
-    return points
 
 
 @pytest.mark.parametrize("a,b", [(2.0, 98.0), (5.0, 5.0), (1e-3, 1e4)])
@@ -338,9 +281,9 @@ def test_kernel_takes_every_finite_tilt():
         reflected = specfun._cgf_kernel(b, a, -t)
         assert [x.hex() for x in reflected] == [x.hex() for x in (psi, -dpsi, d2psi, g)], name
     for t in (0.0, -0.0):
-        assert specfun._cgf_kernel(2.0, 98.0, t)[0].hex() == "0x0.0p+0"
-        assert cgf(BetaParams(2, 98), t).hex() == "0x0.0p+0"
-        assert log_kummer_1f1(2.0, 100.0, t).hex() == "0x0.0p+0"
+        for psi in (specfun._cgf_kernel(2.0, 98.0, t)[0], cgf(BetaParams(2, 98), t),
+                    log_kummer_1f1(2.0, 100.0, t)):
+            assert psi.hex() == (0.0).hex()
 
 
 def test_cgf_and_log_kummer_make_one_kernel_call(monkeypatch):
@@ -361,40 +304,7 @@ def test_cgf_and_log_kummer_make_one_kernel_call(monkeypatch):
 
 
 class TestCgfKernelForwardPass:
-    """The forward pass (peak index k0 < 10) returns the same bits as the int-counter
-    loop it replaced; the values below were recorded from that loop."""
-
-    RECORDED = {
-        (2.0, 98.0, 60.0): (
-            "0x1.25edd9a23b788p-1", "0x1.a28560a4f258ep-6",
-            "0x1.d5c7de77f27ecp-11", "0x1.89bcc3e19eeb4p-2",
-        ),
-        (2.0, 998.0, 600.0): (
-            "0x1.407b7f82e3112p-1", "0x1.820bffd36b364p-9",
-            "0x1.92ec43659d59ep-17", "0x1.07d52091bd24ep-1",
-        ),
-        (0.5, 700.0, 450.0): (
-            "0x1.87ba2af3eb6dcp-3", "0x1.4aad17c633b33p-10",
-            "0x1.01a7f3b741074p-17", "0x1.7b1431acf6e68p-3",
-        ),
-        (1.0, 1e5, 5e4): (
-            "0x1.8b88e2a8dc4f4p-3", "0x1.4f81e5f640ef9p-17",
-            "0x1.b7b77a4f622ccp-32", "0x1.d1a2cb7012190p-4",
-        ),
-    }
-    # sha256 of repr((a, b, t, kernel(a, b, t))) over _forward_pass_points(7, 400)
-    RECORDED_DIGEST = "7f4a906b2982d6f59678491090cb3fdc5a3ad3f92d9c514c2c7c72ea628660d2"
-
-    @pytest.mark.parametrize("point", sorted(RECORDED))
-    def test_recorded_values(self, point):
-        got = specfun._cgf_kernel(*point)
-        assert tuple(x.hex() for x in got) == self.RECORDED[point]
-
-    def test_recorded_digest_on_seeded_points(self):
-        digest = hashlib.sha256()
-        for a, b, t in _forward_pass_points(7, 400):
-            digest.update(repr((a, b, t, specfun._cgf_kernel(a, b, t))).encode())
-        assert digest.hexdigest() == self.RECORDED_DIGEST
+    """The forward pass (peak index k0 < 10); tests/test_pinned_bits.py pins its bits."""
 
     def test_term_budget_is_loud(self, monkeypatch):
         # the series of Beta(2, 98) at t = 60 peaks at k0 < 10 and needs more than 5 steps
