@@ -121,13 +121,12 @@ def kernel_forward_pass():
     return b"".join(out)
 
 
-def kernel_recorded_points():
-    """Four forward-pass points first recorded from the int-counter loop the pass
-    replaced, and (1, 1e10, 1e10), whose bell spans about 9 sqrt(1e10) terms from
-    k0 = 0, under the 2^20 step cap."""
-    points = [(2.0, 98.0, 60.0), (2.0, 998.0, 600.0), (0.5, 700.0, 450.0), (1.0, 1e5, 5e4),
-              (1.0, 1e10, 1e10)]
-    return _lines(" ".join(x.hex() for x in specfun._cgf_kernel(*point)) for point in points)
+def _kernel_at(a, b, t):
+    def survey():  # the float.hex of _cgf_kernel(a, b, t), space-separated
+        return " ".join(x.hex() for x in specfun._cgf_kernel(float(a), float(b), float(t))).encode()
+
+    survey.__name__ = f"kernel_at_{a}_{b}_{t}"
+    return survey
 
 
 def incomplete_beta():
@@ -167,8 +166,18 @@ PINS = [  # (survey, sha256 of the bytes it returns, kernel evaluations it takes
     (warm_chernoff, "9e4595c250932422ec5420edbb20ff9432d5f35cfefa4252a91a06242bb9da2c", 2158),
     (kernel_forward_pass,
      "7f4a906b2982d6f59678491090cb3fdc5a3ad3f92d9c514c2c7c72ea628660d2", None),
-    (kernel_recorded_points,
-     "a0f06c31733877e1f490c3a34209e4e135e4471d03ae2920733458ce0f037e39", None),
+    # four forward-pass points first recorded from the int-counter loop the pass replaced
+    (_kernel_at("0.5", "700", "450"),
+     "f87fca42554da173295cc88b32baaa44d79afb28effec9525858c17aa4db519b", None),
+    (_kernel_at("1", "1e5", "5e4"),
+     "623f1e63ad976c8e052ce1015ba7f5c5933c7b1b6a651adac2e4d19b89c85f5f", None),
+    (_kernel_at("2", "98", "60"),
+     "f1a7d3ccec30a70a43faab428b1897c9f693c6147a7c7527277615b888217c9b", None),
+    (_kernel_at("2", "998", "600"),
+     "406412e082f5f1abec9371ade23216fba581173a70aca2f0da12a5860906852c", None),
+    # k0 = 0 at t = 1e10: the bell spans about 9 sqrt(1e10) terms, under the 2^20 step cap
+    (_kernel_at("1", "1e10", "1e10"),
+     "fadc6c58ae8040e2db017aa83c407eb76e1dfe466c77a3a958de01288e3f7f84", None),
     (incomplete_beta, "80ee68ed31589d5d12ad827996d9c73fda35ddd74a7b416a606aa10a1219875f", None),
     (exact_tails, "9f4c718e0155348d855a86b94846bc2275331fa60ca8bed8ae14bc834f694bee", None),
 ]
