@@ -240,11 +240,8 @@ def check_2f1_pochhammer_sum() -> str | None:
 def check_bernstein_soundness(a, b) -> str | None:
     """Bound minus exact tail >= -1e-10 across both tails."""
     params = moments.BetaParams(a, b)
-    mu = float(params.mean())
-    for side, width in (
-        (bounds.TailSide.UPPER, 1.0 - mu),
-        (bounds.TailSide.LOWER, mu),
-    ):
+    for side in bounds.TailSide:
+        width = moments.BetaParams.upper_width(*bounds.upper_shape(params, side).doubles())
         for eps in _linspace(0.0, width, 200):
             bd = bounds.bernstein_tail_bound(params, eps, side)
             exact = bounds.exact_tail(params, eps, side)
@@ -416,8 +413,8 @@ def check_exponent_dominates_bound(a, b) -> str | None:
     params = moments.BetaParams(Fraction(a), Fraction(b))
     sg = bounds.sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
-    mu = float(params.mean())
-    for eps in _logspace(1e-3 * (1 - mu), 0.5 * (1 - mu), 12):
+    width = moments.BetaParams.upper_width(*params.doubles())
+    for eps in _logspace(1e-3 * width, 0.5 * width, 12):
         res = chernoff.chernoff_exponent_numeric(params, eps, bounds.TailSide.UPPER)
         target = eps * eps / (2.0 * (v + c * eps / 3.0))
         if res.exponent < target - 1e-10:
@@ -432,14 +429,14 @@ def check_tilt_identity(a, b) -> str | None:
     """eps*best_tilt - cumulant_upper_bound(best_tilt) equals (v/c^2)(x - log(1+x)) at x = c eps / v.
 
     The tilt also stays inside the cap's domain, best_tilt < 1/c. The eps grid,
-    13 log-spaced points from 1e-4 (1 - mu) to 0.5, reaches past half of every
-    width 1 - mu here (0.6 or more).
+    13 log-spaced points from 1e-4 width to 0.5, reaches past half of every
+    upper width here (0.6 or more).
     """
     params = moments.BetaParams(Fraction(a), Fraction(b))
     sg = bounds.sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
-    mu = float(params.mean())
-    for eps in _logspace(1e-4 * (1 - mu), 0.5, 13):
+    width = moments.BetaParams.upper_width(*params.doubles())
+    for eps in _logspace(1e-4 * width, 0.5, 13):
         tb = chernoff.best_tilt(sg, eps)
         if not tb < 1.0 / c:
             return f"Beta({a},{b}) eps={eps}: best tilt {tb} not below 1/c = {1.0 / c}"
@@ -490,7 +487,7 @@ def check_chernoff_edge() -> str | None:
     """
     for a, b in [(2, 98), (2, 998), (98, 2), (527.9, 263.4)]:
         params = moments.BetaParams(a, b)
-        width = 1.0 - float(params.mean())
+        width = moments.BetaParams.upper_width(*params.doubles())
         for k in range(1, 7):
             eps = width * (1.0 - 10.0**-k)
             res = chernoff.chernoff_exponent_numeric(params, eps, bounds.TailSide.UPPER)

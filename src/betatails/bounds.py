@@ -31,6 +31,14 @@ class TailSide(Enum):
     LOWER = "lower"
 
 
+def upper_shape(params: BetaParams, side: TailSide) -> BetaParams:
+    """The shape whose upper tail is params' tail on side: params for UPPER, params.swapped()
+    (1 - X) for LOWER. Forms no doubles; a side that is not a TailSide raises ValueError."""
+    if not isinstance(side, TailSide):
+        raise ValueError(f"side must be a TailSide, got {side!r}")
+    return params if side is TailSide.UPPER else params.swapped()
+
+
 @dataclass(frozen=True)
 class SubGammaParams:
     """Variance proxy v and scale c of the sub-gamma tail shape: 0 < v < inf, c finite."""
@@ -93,11 +101,9 @@ def bernstein_tail_bound(params: BetaParams, eps: float, side: TailSide) -> floa
     Upper side: the sub-gamma shape when beta >= alpha, the pure gaussian
     shape exp(-eps^2/(2v)), which is the sub-gamma one with c = 0, when
     beta < alpha. The lower side is the upper side of 1 - X, i.e. the same
-    formulas with alpha and beta exchanged.
+    formulas with alpha and beta exchanged (upper_shape).
     """
-    if side is TailSide.LOWER:
-        return bernstein_tail_bound(params.swapped(), eps, TailSide.UPPER)
-    return sub_gamma_bound(bernstein_params(params), eps)
+    return sub_gamma_bound(bernstein_params(upper_shape(params, side)), eps)
 
 
 def bernstein_params(params: BetaParams) -> SubGammaParams:
@@ -110,18 +116,15 @@ def bernstein_params(params: BetaParams) -> SubGammaParams:
 def exact_tail(params: BetaParams, eps: float, side: TailSide) -> float:
     """Exact tail probability at deviation eps from the mean.
 
-    LOWER is I_{mu-eps}(alpha, beta); UPPER is the lower tail of 1 - X,
-    I_{1-mu-eps}(beta, alpha), so no 1 - p cancellation occurs when the tail
-    is small. Deviations beyond the support return 0.
+    LOWER is I_{mu-eps}(alpha, beta), UPPER I_{1-mu-eps}(beta, alpha) for 1 - X: both
+    I_x(b, a) at upper_shape's (a, b), so no 1 - p cancellation occurs when the tail is
+    small. Deviations beyond the support return 0.
     """
     if not eps >= 0:  # rejects nan too
         raise ValueError(f"eps must be non-negative, got {eps}")
-    a, b = params.doubles()
-    mu = a / (a + b)
-    x = mu - eps
-    if side is TailSide.UPPER:
-        a, b, x = b, a, 1.0 - mu - eps
-    return regularized_incomplete_beta(a, b, x) if x > 0.0 else 0.0
+    a, b = upper_shape(params, side).doubles()
+    x = (b / (a + b) if side is TailSide.LOWER else BetaParams.upper_width(a, b)) - eps
+    return regularized_incomplete_beta(b, a, x) if x > 0.0 else 0.0
 
 
 def log_upper_bound(x: float) -> float:

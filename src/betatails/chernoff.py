@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .bounds import SubGammaParams, TailSide, _bracketed_newton, sub_gamma_params
+from .bounds import SubGammaParams, TailSide, _bracketed_newton, sub_gamma_params, upper_shape
 from .moments import BetaParams
 from .specfun import _cgf_kernel
 
@@ -59,20 +59,19 @@ def cgf(params: BetaParams, t: float) -> float:
 def chernoff_exponent_numeric(params: BetaParams, eps: float, side: TailSide) -> ChernoffResult:
     """psi*(eps) = sup_{t >= 0} (t eps - psi(t)) for the requested tail.
 
-    The lower tail is the upper tail of 1 - X ~ Beta(beta, alpha), so only one
-    optimization path exists. Valid for 0 < eps < support width on the chosen
-    side; exp(-exponent) then upper-bounds the exact tail probability. The
-    solve is chernoff_exponents' at a single deviation, from its cold first
-    guess, and raises as it does; but eps = 0 and eps from the width on,
+    bounds.upper_shape gives the shape whose upper tail it is (Beta(beta, alpha) for
+    LOWER), so one optimization path serves both. Valid for 0 < eps < that shape's
+    BetaParams.upper_width; exp(-exponent) then upper-bounds the exact tail
+    probability. The solve is chernoff_exponents' at a single deviation, from its
+    cold first guess, and raises as it does; but eps = 0 and eps from the width on,
     where the sweep returns 0 and inf, raise ValueError here.
     """
-    if side is TailSide.LOWER:
-        return chernoff_exponent_numeric(params.swapped(), eps, TailSide.UPPER)
-    a, b = params.doubles()
-    width = 1.0 - a / (a + b)
+    shape = upper_shape(params, side)
+    width = BetaParams.upper_width(*shape.doubles())
     if not 0.0 < eps < width:
-        raise ValueError(f"eps must lie strictly inside (0, {width}) for the upper tail, got {eps}")
-    return chernoff_exponents(params, [eps])[0]
+        raise ValueError(f"eps must lie strictly inside (0, {width}) for the {side.value} "
+                         f"tail, got {eps}")
+    return chernoff_exponents(shape, [eps])[0]
 
 
 def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[ChernoffResult]:
@@ -104,7 +103,7 @@ def chernoff_exponents(params: BetaParams, epss: Iterable[float]) -> list[Cherno
     its tilt.
     """
     a, b = params.doubles()
-    width = 1.0 - a / (a + b)
+    width = BetaParams.upper_width(a, b)
     sg = sub_gamma_params(params)
     v, c = float(sg.v), float(sg.c)
     results = []

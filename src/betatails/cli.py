@@ -166,7 +166,7 @@ def cmd_bound(args) -> int:
     params = _parse_params(args)
     side = bounds.TailSide(args.side)
     # report the parameters of the side actually evaluated (lower = swapped upper)
-    effective = params if side is bounds.TailSide.UPPER else params.swapped()
+    effective = bounds.upper_shape(params, side)
     sg = bounds.sub_gamma_params(effective)
     branch = "sub-gamma" if bounds.bernstein_params(effective) == sg else "gaussian"
     value = bounds.bernstein_tail_bound(params, args.eps, side)

@@ -77,6 +77,13 @@ class BetaParams:
             raise ValueError("shapes sum past the largest double; the numeric paths need doubles")
         return a, b
 
+    @staticmethod
+    def upper_width(a: float, b: float) -> float:
+        """1 - a/(a+b) at a shape's doubles (a, b): every width of the numeric paths. The
+        lower tail's, at swapped()'s doubles, is 1 - beta/(alpha+beta), which cancels to 0.0
+        past alpha/beta near 1e16; only exact_tail's lower side forms alpha/(alpha+beta) - eps."""
+        return 1.0 - a / (a + b)
+
     def mean(self) -> Scalar:
         return self.alpha / self.total
 

@@ -22,7 +22,7 @@ from betatails.bounds import (
     subgaussian_optimal_proxy,
     sub_gamma_params,
 )
-from betatails.cli import _linspace, comparison_rows
+from betatails.cli import comparison_rows
 from betatails.moments import BetaParams
 from betatails.specfun import ConvergenceError
 
@@ -158,13 +158,6 @@ class TestBernsteinTailBound:
         assert bernstein_tail_bound(p, math.inf, side) == 0.0
         assert exact_tail(p, math.inf, side) == 0.0
 
-    def test_symmetric_sides_agree(self):
-        p = BetaParams(5, 5)
-        for eps in _linspace(0.0, 0.4, 9):
-            up = bernstein_tail_bound(p, eps, TailSide.UPPER)
-            lo = bernstein_tail_bound(p, eps, TailSide.LOWER)
-            assert up == lo
-
     def test_right_skew_upper_uses_sub_gamma(self):
         p = BetaParams(2, 98)
         assert bernstein_tail_bound(p, 0.02, TailSide.UPPER) == pytest.approx(
@@ -207,6 +200,39 @@ class TestBernsteinTailBound:
         lower = bernstein_tail_bound(BetaParams(a, b), eps, TailSide.LOWER)
         upper = bernstein_tail_bound(BetaParams(b, a), eps, TailSide.UPPER)
         assert lower == upper
+
+
+class TestUpperShape:
+    # bounds.upper_shape decides the side for every side-taking entry point, so a side
+    # that is not a TailSide raises there instead of falling through to some tail
+    @pytest.mark.parametrize("fn", [
+        exact_tail, bernstein_tail_bound, chernoff.chernoff_exponent_numeric,
+    ], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("side", ["upper", "lower", None])
+    def test_a_side_that_is_not_a_tail_side_raises(self, fn, side):
+        with pytest.raises(ValueError, match="side must be a TailSide"):
+            fn(BetaParams(2, 98), 0.01, side)
+
+    @pytest.mark.parametrize("side,exact,bernstein,exponent", [
+        (TailSide.UPPER, 0.19913, 0.82308, 0.19674),
+        (TailSide.LOWER, 0.26054, 0.77286, 0.39391),
+    ], ids=["upper", "lower"])
+    def test_each_side_reads_its_own_tail(self, side, exact, bernstein, exponent):
+        p = BetaParams(2, 98)
+        assert exact_tail(p, 0.01, side) == pytest.approx(exact, abs=5e-6)
+        assert bernstein_tail_bound(p, 0.01, side) == pytest.approx(bernstein, abs=5e-6)
+        got = chernoff.chernoff_exponent_numeric(p, 0.01, side).exponent
+        assert got == pytest.approx(exponent, abs=5e-6)
+
+    def test_lower_side_domain_error_names_the_lower_tail(self):
+        # the solve runs on Beta(1e200, 2), whose width 1 - 1e200 / (1e200 + 2) cancels to
+        # 0.0; the message names the side the caller asked for
+        with pytest.raises(ValueError, match=r"\(0, 0\.0\) for the lower tail"):
+            chernoff.chernoff_exponent_numeric(BetaParams(2.0, 1e200), 1e-3, TailSide.LOWER)
+
+    def test_lower_side_forms_no_doubles(self):
+        # an exact shape past the double range keeps the exact pair's path on both sides
+        assert bernstein_tail_bound(BetaParams(2, 10**400), 0.1, TailSide.LOWER) == 0.0
 
 
 class TestExactTail:

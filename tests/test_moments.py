@@ -198,9 +198,6 @@ class TestStandardizedMoments:
     def test_symmetric_skewness_is_zero(self):
         assert standardized_moment(BetaParams(5, 5), 3) == 0.0
 
-    def test_uniform_kurtosis(self):
-        assert standardized_moment(BetaParams(1, 1), 4) == pytest.approx(9 / 5, rel=1e-12)
-
     def test_rejects_low_order(self):
         with pytest.raises(ValueError):
             standardized_moment(BetaParams(2, 3), 1)

@@ -151,6 +151,45 @@ def test_each_test_reference_is_stated_once():
     assert {"_linspace", "_logspace"} <= _reads(tree)
 
 
+def _functions_holding(predicate) -> set[str]:
+    """The innermost functions of src/betatails whose code holds a node that predicate accepts."""
+    found = set()
+
+    def visit(node, owner):
+        owner = node.name if isinstance(node, ast.FunctionDef) else owner
+        if predicate(node):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in Path(betatails.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def _is_upper_width(node: ast.AST) -> bool:
+    """1 less a quotient over a sum, a mean or mu: 1.0 - a / (a + b), 1 - float(p.mean())."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1):
+        return False
+    right = node.right
+    over_a_sum = (isinstance(right, ast.BinOp) and isinstance(right.op, ast.Div)
+                  and isinstance(right.right, ast.BinOp) and isinstance(right.right.op, ast.Add))
+    return over_a_sum or bool({"mean", "mu"} & _reads(right))
+
+
+def test_one_owner_decides_the_side_and_one_forms_the_upper_width():
+    # the lower tail is the upper tail of 1 - X: bounds.upper_shape maps a side to the
+    # shape whose upper tail it is, and BetaParams.upper_width forms that shape's width,
+    # so a change to the width is a change to one line; the proxy swaps to beta > alpha itself
+    swaps = _functions_holding(
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "swapped"
+    )
+    assert swaps == {"upper_shape", "subgaussian_optimal_proxy"}
+    assert _functions_holding(_is_upper_width) == {"upper_width"}
+
+
 def _private_reads(tree: ast.AST, module: str) -> list[str]:
     """The _-prefixed names a source tree reads as module.name or imports from module."""
     return [

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from betatails import _verify, bounds, chernoff, specfun
-from betatails.bounds import TailSide, exact_tail, subgaussian_optimal_proxy
+from betatails.bounds import TailSide, exact_tail, subgaussian_optimal_proxy, upper_shape
 from betatails.chernoff import chernoff_exponent_numeric, chernoff_exponents
 from betatails.cli import main
 from betatails.moments import BetaParams
@@ -78,8 +78,7 @@ def cold_chernoff():
     for _ in range(150):
         p = BetaParams(_log_uniform(rng, 1e-3, 1e7), _log_uniform(rng, 1e-3, 1e7))
         side = rng.choice([TailSide.UPPER, TailSide.LOWER])
-        a, b = (p.alpha, p.beta) if side is TailSide.UPPER else (p.beta, p.alpha)
-        width = 1.0 - a / (a + b)  # as chernoff_exponent_numeric forms it
+        width = BetaParams.upper_width(*upper_shape(p, side).doubles())
         for fraction in (_log_uniform(rng, 1e-8, 1.0), 1.0 - _log_uniform(rng, 1e-12, 1.0)):
             eps = fraction * width
             lines.append(_outcome(lambda: chernoff_exponent_numeric(p, eps, side)))

@@ -248,11 +248,6 @@ class TestLogKummer1F1:
         # cgf is log 1F1 less t a / c; both sum the series under one step cap
         assert log_kummer_1f1(2.0, 100.0, t) == cgf(BetaParams(2, 98), t) + t * 2.0 / 100.0
 
-    def test_peak_past_2_53_is_loud(self):
-        # float indices stop moving there; the series would not end
-        with pytest.raises(ConvergenceError, match=r"2\*\*53"):
-            log_kummer_1f1(2.0, 100.0, 1e17)
-
 
 @pytest.mark.parametrize("a,b", [(2.0, 98.0), (5.0, 5.0), (1e-3, 1e4)])
 def test_kernel_at_tiny_tilt_is_its_leading_order(a, b):
